@@ -154,11 +154,8 @@ StageIResult run_deferred_acceptance_prepared(
       // component: no edge crosses a component boundary, so the seller's
       // value is a sum of independent per-component terms and keeping the
       // strictly-better side of each term dominates the all-or-nothing
-      // switch. It also makes each component's verdict independent of which
-      // other components share the channel — the separability the cluster
-      // tier's scatter/gather merge relies on (docs/CLUSTER.md). kExact
-      // keeps the whole-channel comparison (its tie-breaking is not
-      // component-local, matching the sharding exemption above).
+      // switch. kExact keeps the whole-channel comparison (its tie-breaking
+      // is not component-local, matching the sharding exemption above).
       if (!shard_ok) {
         if (!market::seller_prefers(market, i, ws.selections[k],
                                     result.matching.members_of(i)))

@@ -282,9 +282,8 @@ StageIIResult run_transfer_invitation_prepared(
   // Component-local policies invite per (channel, interference component)
   // per round — components cannot interact, so inviting them simultaneously
   // is sound, the rate limit stays the paper's one-per-seller-per-round
-  // *within* each component, and a component's invitation schedule no longer
-  // depends on which other components share the channel (the separability
-  // the cluster tier's merge relies on — docs/CLUSTER.md). kExact keeps the
+  // *within* each component, and a component's invitation schedule does not
+  // depend on which other components share the channel. kExact keeps the
   // paper's literal one-invitation-per-channel round.
   const bool comp_local =
       config.coalition_policy != graph::MwisAlgorithm::kExact;

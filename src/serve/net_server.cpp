@@ -59,7 +59,7 @@ NetConfig NetConfig::from_env() {
   return config;
 }
 
-NetServer::NetServer(RequestSink& server, NetConfig config)
+NetServer::NetServer(MatchServer& server, NetConfig config)
     : match_(server), config_(config) {
   config_.backlog = std::max(1, config_.backlog);
   config_.max_conns = std::max(1, config_.max_conns);
@@ -215,8 +215,8 @@ void NetServer::parse_available(Connection& conn) {
       metrics::count("net.flow_stalls");
       return;
     }
-    if (match_.overflow_blocks() &&
-        match_.pending() >= match_.queue_capacity()) {
+    if (match_.config().overflow == ServeConfig::Overflow::kBlock &&
+        match_.pending() >= match_.config().queue_capacity) {
       metrics::count("net.flow_stalls");
       return;
     }
@@ -448,8 +448,8 @@ void NetServer::run() {
       fd_conn.push_back(0);
     }
     const bool global_headroom =
-        !match_.overflow_blocks() ||
-        match_.pending() < match_.queue_capacity();
+        match_.config().overflow == ServeConfig::Overflow::kReject ||
+        match_.pending() < match_.config().queue_capacity;
     for (auto& [id, conn] : conns_) {
       short events = 0;
       if (wants_read(conn) && global_headroom) events |= POLLIN;

@@ -1,5 +1,6 @@
 #include "workload/io.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <iomanip>
@@ -59,6 +60,29 @@ class TokenReader {
       ++pos_;
     out = current_.substr(start, pos_ - start);
     return true;
+  }
+
+  /// Capacity worth reserving for a section that declares `count` values,
+  /// called right after its header: no more than the bytes already buffered
+  /// could hold (every value takes at least two bytes with its separator).
+  /// A forged count therefore never allocates ahead of the data; the
+  /// section grows by appending instead.
+  std::size_t reserve_hint(std::size_t count) {
+    const std::streamsize buffered = is_.rdbuf()->in_avail();
+    if (buffered <= 0) return 0;
+    return std::min(count, static_cast<std::size_t>(buffered) / 2);
+  }
+
+  /// Appends `count` values parsed as T to `out`.
+  template <typename T>
+  void append_values(std::vector<T>& out, std::size_t count,
+                     const std::string& what) {
+    out.reserve(reserve_hint(count));
+    for (std::size_t k = 0; k < count; ++k) {
+      T value{};
+      next_value(value, what);
+      out.push_back(value);
+    }
   }
 
   /// Next token parsed as T; the whole token must convert.
@@ -175,31 +199,34 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
 
   market::Scenario scenario;
 
+  // Every section appends its values as they are read, so memory grows
+  // with the bytes received, never with a declared count alone.
   const int num_sellers = reader.counted_header("sellers");
-  scenario.seller_channel_counts.resize(static_cast<std::size_t>(num_sellers));
-  for (auto& m : scenario.seller_channel_counts)
-    reader.next_value(m, "seller channel counts");
+  reader.append_values(scenario.seller_channel_counts,
+                       static_cast<std::size_t>(num_sellers),
+                       "seller channel counts");
 
-  const int num_buyers = reader.counted_header("buyers");
-  scenario.buyer_demands.resize(static_cast<std::size_t>(num_buyers));
-  for (auto& n : scenario.buyer_demands)
-    reader.next_value(n, "buyer demands");
+  const auto num_buyers =
+      static_cast<std::size_t>(reader.counted_header("buyers"));
+  reader.append_values(scenario.buyer_demands, num_buyers, "buyer demands");
 
   {
     const auto tokens = reader.header_line("locations");
     if (tokens.size() != 1 || tokens[0] != "locations")
       reader.fail("expected 'locations', got '" + tokens[0] + "'");
   }
-  scenario.buyer_locations.resize(static_cast<std::size_t>(num_buyers));
-  for (auto& loc : scenario.buyer_locations) {
+  scenario.buyer_locations.reserve(reader.reserve_hint(2 * num_buyers) / 2);
+  for (std::size_t j = 0; j < num_buyers; ++j) {
+    graph::Point loc;
     reader.next_value(loc.x, "buyer locations");
     reader.next_value(loc.y, "buyer locations");
+    scenario.buyer_locations.push_back(loc);
   }
 
   const int num_ranges = reader.counted_header("ranges");
-  scenario.channel_ranges.resize(static_cast<std::size_t>(num_ranges));
-  for (auto& r : scenario.channel_ranges)
-    reader.next_value(r, "channel ranges");
+  reader.append_values(scenario.channel_ranges,
+                       static_cast<std::size_t>(num_ranges),
+                       "channel ranges");
 
   // Optional "reserves <M>" section (format extension; absent in files
   // written before reserve prices existed), then the mandatory utilities
@@ -217,9 +244,8 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
       ss >> count;
       if (tokens.size() != 2 || ss.fail() || !ss.eof() || count == 0)
         reader.fail("expected 'reserves <positive count>'");
-      scenario.channel_reserves.resize(count);
-      for (auto& r : scenario.channel_reserves)
-        reader.next_value(r, "channel reserves");
+      reader.append_values(scenario.channel_reserves, count,
+                           "channel reserves");
       have_reserves = true;
       continue;
     }
@@ -235,9 +261,13 @@ market::Scenario load_scenario(std::istream& is, int line_offset,
     }
     reader.fail("expected 'reserves' or 'utilities', got '" + tokens[0] + "'");
   }
-  scenario.utilities.resize(M * N);
-  for (auto& u : scenario.utilities)
-    reader.next_value(u, "utility matrix");
+  // Forged dimensions may overflow M * N; saturate (the values run out
+  // long before a saturated count is reached).
+  const std::size_t cells =
+      M > std::numeric_limits<std::size_t>::max() / N
+          ? std::numeric_limits<std::size_t>::max()
+          : M * N;
+  reader.append_values(scenario.utilities, cells, "utility matrix");
   if (reader.line_has_more())
     reader.fail("trailing values after the utility matrix");
 

@@ -95,6 +95,24 @@ TEST(ScenarioIoTest, CorruptCountsAreRejected) {
   EXPECT_THROW((void)load_scenario(buffer2), ScenarioParseError);
 }
 
+TEST(ScenarioIoTest, ForgedCountWithoutValuesIsRejectedNotAllocated) {
+  // Five lines declaring two billion buyers and carrying none of them:
+  // the parser appends values as they arrive, so this throws a parse error
+  // instead of reserving the declared count up front.
+  std::stringstream buffer;
+  buffer << "specmatch-scenario v1\n"
+         << "sellers 1\n"
+         << "1\n"
+         << "buyers 2000000000\n";
+  EXPECT_THROW((void)load_scenario(buffer), ScenarioParseError);
+
+  std::stringstream utilities;
+  utilities << "specmatch-scenario v1\nsellers 1\n1\nbuyers 1\n1\n"
+            << "locations\n0 0\nranges 1\n1\n"
+            << "utilities 5000000000 5000000000\n0.5\n";
+  EXPECT_THROW((void)load_scenario(utilities), ScenarioParseError);
+}
+
 TEST(ScenarioIoTest, SemanticallyInvalidScenarioIsRejected) {
   // Structure parses but ranges are non-positive -> validate() must veto.
   std::stringstream buffer;

@@ -612,6 +612,35 @@ TEST(NetServerTest, TruncatedCreateAtEofReportsConnAndSeq) {
   EXPECT_EQ(harness.net.stats().protocol_errors, 1);
 }
 
+TEST(NetServerTest, ForgedCreateCountIsAnsweredAndServerKeepsServing) {
+  NetHarness harness;
+  {
+    // Five lines declaring two billion buyers, then EOF: the parser must
+    // not allocate for the declared count, so the bomb costs its sender
+    // an err! and nothing else.
+    auto bomb = ClientConnection::connect_loopback(harness.port);
+    bomb.send_all(
+        "create bomb\nspecmatch-scenario v1\nsellers 1\n1\n"
+        "buyers 2000000000\n");
+    bomb.half_close();
+    std::string line;
+    ASSERT_TRUE(bomb.read_line(line));
+    EXPECT_EQ(line.rfind("err! protocol conn=", 0), 0u) << line;
+    EXPECT_NE(line.find("buyer demands"), std::string::npos) << line;
+    EXPECT_FALSE(bomb.read_line(line)) << "expected EOF after fatal: " << line;
+  }
+  auto conn = ClientConnection::connect_loopback(harness.port);
+  conn.send_all(scenario_wire("m", 14));
+  conn.send_all("solve m cold\n");
+  conn.half_close();
+  std::string line;
+  ASSERT_TRUE(conn.read_line(line));
+  EXPECT_EQ(line.rfind("ok create m ", 0), 0u) << line;
+  ASSERT_TRUE(conn.read_line(line));
+  EXPECT_EQ(line.rfind("ok solve m cold ", 0), 0u) << line;
+  EXPECT_FALSE(conn.read_line(line)) << "expected clean EOF, got: " << line;
+}
+
 TEST(NetServerTest, OversizedLineIsAProtocolError) {
   NetConfig net_config;
   net_config.max_line_bytes = 128;

@@ -10,10 +10,13 @@
 # 3. Every wire-protocol verb the server implements (the request_keyword
 #    switch in src/serve/protocol.cpp) must be documented in
 #    docs/PROTOCOL.md, so the protocol spec cannot silently fall behind the
-#    implementation.
+#    implementation. Conversely, every backquoted verb in a `###` heading of
+#    PROTOCOL.md §2 must be one of those verbs, so a removed verb cannot
+#    keep its section.
 # 4. Every `stats` response tail key (the kStatsTailKeys registry between
 #    the stats-tail-keys markers in src/serve/protocol.cpp) must be
-#    documented in docs/SERVING.md.
+#    documented in docs/SERVING.md. Conversely, every `key=` row of
+#    SERVING.md's stats table must be a registered key.
 #
 # Usage: tools/docs_check.sh [repo_root]
 set -uo pipefail
@@ -80,6 +83,19 @@ else
       status=1
     fi
   done
+  # Reverse: §2 headings name only implemented verbs.
+  headed="$(sed -n '/^## 2\./,/^## 3\./p' "$protocol_doc" | grep -E '^### ' \
+            | grep -oE '`[^`]+`' | tr -d '`')"
+  if [[ -z "$headed" ]]; then
+    echo "docs_check: no verb headings found in $protocol_doc §2 (section moved?)" >&2
+    status=1
+  fi
+  for verb in $headed; do
+    if ! grep -qx "$verb" <<< "$verbs"; then
+      echo "docs_check: $protocol_doc §2 documents '$verb', not a verb in $protocol_src" >&2
+      status=1
+    fi
+  done
 fi
 
 # ---- 4. Every stats tail key appears in docs/SERVING.md ---------------------
@@ -98,6 +114,14 @@ else
   for key in $keys; do
     if ! grep -qE "(^|[\`| ])$key(=|\`)" "$serving_doc"; then
       echo "docs_check: stats key '$key' ($protocol_src) undocumented in $serving_doc" >&2
+      status=1
+    fi
+  done
+  # Reverse: every `key=` table row is a registered key.
+  rows="$(grep -oE '^\| `[a-z_]+=`' "$serving_doc" | grep -oE '[a-z_]+')"
+  for key in $rows; do
+    if ! grep -qx "$key" <<< "$keys"; then
+      echo "docs_check: $serving_doc documents stats key '$key', not in $protocol_src kStatsTailKeys" >&2
       status=1
     fi
   done
