@@ -1,28 +1,51 @@
-// A small fixed-size thread pool with a deterministic parallel_for.
+// A small fixed-size thread pool with a deterministic, allocation-free
+// parallel_for.
 //
 // ThreadPool(n) spawns n - 1 workers; the calling thread always participates
 // in parallel_for, so n == 1 means zero workers and every entry point
 // degenerates to the exact serial loop (the engine's SPECMATCH_THREADS=1
-// escape hatch). parallel_for distributes single indices over the workers;
-// callers are expected to write results into per-index slots, which is what
-// makes the parallel engine bit-for-bit deterministic regardless of thread
-// count. Exceptions thrown by the body are captured per participant and the
-// first one (in participant order) is rethrown on the calling thread.
+// escape hatch). Callers are expected to write results into per-index slots,
+// which is what makes the parallel engine bit-for-bit deterministic
+// regardless of thread count or of which lane ran which index.
 //
-// Nested use is safe by construction: a parallel_for issued from inside a
-// pool worker runs inline on that worker (no new tasks, no deadlock), and
+// parallel_for is a fork-join on one preallocated dispatch slot per pool: the
+// caller publishes (body, range, cursor) into the slot, bumps an epoch that
+// the sleeping workers wait on, and runs as lane 0; each woken worker that
+// joins before the caller closes the slot takes the next lane. Lanes claim
+// *chunks* of consecutive indices from the shared atomic cursor: about
+// kChunkWork of estimated work each, and at least eight per lane so uneven
+// indices still balance (heavy indices are claimed one at a time). No
+// queue, no task object, no heap allocation per dispatch. Exceptions thrown by the body are
+// captured per lane and the first one (in lane order) is rethrown on the
+// calling thread once every joined lane has returned.
+//
+// Serial cutoff: a call site passes `index_cost`, its estimate of one
+// index's work in work units (about a nanosecond each; every engine call
+// site states the serial measurement its estimate comes from). A range
+// whose total estimate (end - begin) * index_cost is below kSerialCutoff
+// runs serially on the caller: waking workers would cost more than it
+// saves. The default cost assumes every index is worth a fan-out on its
+// own.
+//
+// Nesting is per pool: a parallel_for issued by a worker of *this* pool runs
+// inline on that worker (no new dispatch, no deadlock), whereas a worker of a
+// different pool — e.g. a MatchServer drain lane — fans out here as any
+// other caller would. The slot holds one dispatch at a time: a caller that
+// finds it busy (another thread's dispatch, or its own enclosing one) runs
+// its range serially as lane 0 instead of waiting, queueing or allocating.
 // submit() from inside a task just enqueues.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -33,6 +56,14 @@ namespace specmatch {
 
 class ThreadPool {
  public:
+  /// Estimated total work (units of index_cost) below which a parallel_for
+  /// runs serially. Picked from the threads x N sweep of bench/large_market
+  /// recorded in EXPERIMENTS.md ("Per-pool nesting and the chunked
+  /// fork-join").
+  static constexpr std::size_t kSerialCutoff = 25'000;
+  /// Estimated work per claimed chunk (same units).
+  static constexpr std::size_t kChunkWork = 4'000;
+
   /// A pool presenting `num_threads` lanes of execution: the caller plus
   /// num_threads - 1 workers. Requires num_threads >= 1.
   explicit ThreadPool(std::size_t num_threads);
@@ -54,34 +85,35 @@ class ThreadPool {
   /// Calls fn(i) for every i in [begin, end). Blocks until all calls have
   /// returned, then rethrows the first captured exception, if any. Runs
   /// serially (in ascending index order, on the calling thread) when the
-  /// pool has one lane, the range has one index, or the caller is itself a
-  /// pool worker.
+  /// pool has one lane, the range has one index, (end - begin) * index_cost
+  /// is below kSerialCutoff, the caller is a worker of this pool, or the
+  /// dispatch slot is busy.
   template <typename Fn>
-  void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
-    if (begin >= end) return;
-    if (workers_.empty() || end - begin == 1 || t_in_worker) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-    parallel_for_impl(begin, end,
-                      [&fn](std::size_t /*lane*/, std::size_t i) { fn(i); });
+  void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
+                    std::size_t index_cost = kSerialCutoff) {
+    parallel_for_lanes(
+        begin, end, [&fn](std::size_t /*lane*/, std::size_t i) { fn(i); },
+        index_cost);
   }
 
   /// parallel_for variant whose body also receives the executing lane index
-  /// (0 = the calling thread): fn(lane, i). Lanes let callers hand each
-  /// participant its own scratch slot (e.g. the MatchWorkspace per-lane MWIS
-  /// scratch) without sharing or locking. Which lane runs which index is
-  /// scheduling-dependent — results stay deterministic only if the scratch
-  /// never influences outputs (it must be fully reinitialised per use).
-  /// Serial fallbacks run everything as lane 0.
+  /// (0 = the calling thread, always < num_threads()): fn(lane, i). Lanes let
+  /// callers hand each participant its own scratch slot (e.g. the
+  /// MatchWorkspace per-lane MWIS scratch) without sharing or locking. Which
+  /// lane runs which index is scheduling-dependent — results stay
+  /// deterministic only if the scratch never influences outputs (it must be
+  /// fully reinitialised per use). Serial fallbacks run everything as lane 0.
   template <typename Fn>
-  void parallel_for_lanes(std::size_t begin, std::size_t end, Fn&& fn) {
+  void parallel_for_lanes(std::size_t begin, std::size_t end, Fn&& fn,
+                          std::size_t index_cost = kSerialCutoff) {
     if (begin >= end) return;
-    if (workers_.empty() || end - begin == 1 || t_in_worker) {
+    using Body = std::remove_reference_t<Fn>;
+    if (!fans_out(end - begin, index_cost) ||
+        !dispatch(&run_chunk<Body>,
+                  const_cast<void*>(static_cast<const void*>(&fn)), begin,
+                  end, index_cost)) {
       for (std::size_t i = begin; i < end; ++i) fn(std::size_t{0}, i);
-      return;
     }
-    parallel_for_impl(begin, end, std::forward<Fn>(fn));
   }
 
   /// The engine-wide pool, sized from SpecmatchConfig::global().num_threads.
@@ -90,78 +122,81 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  /// Shared parallel branch of parallel_for / parallel_for_lanes: dispatches
-  /// the work-stealing index loop across the caller (lane 0) and up to
-  /// workers_.size() helpers, passing each body its lane. Callers have
-  /// already handled the serial fallbacks.
-  template <typename Fn>
-  void parallel_for_impl(std::size_t begin, std::size_t end, Fn&& fn) {
-    metrics::count("pool.parallel_for_dispatches");
-    const std::size_t helpers = std::min(end - begin - 1, workers_.size());
-    auto state = std::make_shared<ForState>(helpers + 1, begin, end);
-    auto run_lane = [state, &fn](std::size_t lane) {
-      try {
-        while (true) {
-          const std::size_t i =
-              state->next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= state->end) break;
-          fn(lane, i);
-        }
-      } catch (...) {
-        state->errors[lane] = std::current_exception();
-      }
-    };
-    for (std::size_t h = 0; h < helpers; ++h) {
-      submit([state, run_lane, h] {
-        run_lane(h + 1);
-        std::lock_guard<std::mutex> lock(state->mutex);
-        ++state->finished;
-        state->done.notify_all();
-      });
-    }
-    run_lane(0);  // the caller is lane 0
-    {
-      std::unique_lock<std::mutex> lock(state->mutex);
-      state->done.wait(lock, [&] { return state->finished == helpers; });
-    }
-    for (const std::exception_ptr& error : state->errors)
-      if (error) std::rethrow_exception(error);
+  using ChunkFn = void (*)(void* body, std::size_t lane, std::size_t begin,
+                           std::size_t end);
+
+  template <typename Body>
+  static void run_chunk(void* body, std::size_t lane, std::size_t begin,
+                        std::size_t end) {
+    Body& fn = *static_cast<Body*>(body);
+    for (std::size_t i = begin; i < end; ++i) fn(lane, i);
   }
 
-  struct ForState {
-    ForState(std::size_t lanes, std::size_t begin, std::size_t range_end)
-        : end(range_end), next(begin), errors(lanes) {}
-    const std::size_t end;
-    std::atomic<std::size_t> next;
-    std::vector<std::exception_ptr> errors;  // one slot per lane
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t finished = 0;
-  };
+  /// True when a range of `n` indices at `index_cost` each is worth waking
+  /// workers for (and there are workers, and we are not one of them).
+  bool fans_out(std::size_t n, std::size_t index_cost) const {
+    if (workers_.empty() || n < 2 || t_worker_of == this) return false;
+    return index_cost >= kSerialCutoff || n * index_cost >= kSerialCutoff;
+  }
 
+  /// The parallel branch: claims the dispatch slot, runs [begin, end) across
+  /// the caller (lane 0) and every worker that joins, and rethrows the first
+  /// lane's exception. Returns false, having run nothing, when the slot is
+  /// busy.
+  bool dispatch(ChunkFn chunk_fn, void* body, std::size_t begin,
+                std::size_t end, std::size_t index_cost);
+  /// Claims chunks of the current dispatch until the cursor passes its end.
+  void run_lane(std::size_t lane) noexcept;
+  /// A woken worker's attempt to join dispatch `epoch` as a helper lane.
+  void join_dispatch(std::uint64_t epoch);
   void worker_loop();
 
-  static thread_local bool t_in_worker;
+  /// The pool whose worker the current thread is (nullptr elsewhere).
+  static thread_local const ThreadPool* t_worker_of;
 
-  std::vector<std::thread> workers_;
+  // join_ packs (epoch << kEpochShift) | kOpen | helpers-joined: helpers
+  // join a dispatch only while its epoch is current and it is open, and the
+  // caller's close returns the exact number of helpers to wait for.
+  static constexpr unsigned kEpochShift = 16;
+  static constexpr std::uint64_t kOpen = std::uint64_t{1} << 15;
+  static constexpr std::uint64_t kJoinedMask = kOpen - 1;
+
+  // The dispatch slot. Written by the owner of busy_ before publishing
+  // through join_ (release); helpers read it after joining (acquire).
+  std::atomic<bool> busy_{false};
+  ChunkFn chunk_fn_ = nullptr;
+  void* body_ = nullptr;
+  std::size_t end_ = 0;
+  std::size_t chunk_ = 1;
+  std::vector<std::exception_ptr> errors_;  // one slot per lane
+  alignas(64) std::atomic<std::size_t> next_{0};
+  alignas(64) std::atomic<std::uint64_t> join_{0};
+  alignas(64) std::atomic<std::uint32_t> finished_{0};
+
+  std::mutex mutex_;  // guards queue_, epoch_, active_, stop_
   std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable work_available_;
-  std::condition_variable idle_;
+  std::uint64_t epoch_ = 0;  ///< last published dispatch
   std::size_t active_ = 0;
   bool stop_ = false;
+  std::condition_variable work_available_;
+  std::condition_variable idle_;
+  std::vector<std::thread> workers_;  // last: the workers use every member
 };
 
 /// Convenience: parallel_for on the engine-wide pool.
 template <typename Fn>
-void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
-  ThreadPool::global().parallel_for(begin, end, std::forward<Fn>(fn));
+void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
+                  std::size_t index_cost = ThreadPool::kSerialCutoff) {
+  ThreadPool::global().parallel_for(begin, end, std::forward<Fn>(fn),
+                                    index_cost);
 }
 
 /// Convenience: parallel_for_lanes on the engine-wide pool.
 template <typename Fn>
-void parallel_for_lanes(std::size_t begin, std::size_t end, Fn&& fn) {
-  ThreadPool::global().parallel_for_lanes(begin, end, std::forward<Fn>(fn));
+void parallel_for_lanes(std::size_t begin, std::size_t end, Fn&& fn,
+                        std::size_t index_cost = ThreadPool::kSerialCutoff) {
+  ThreadPool::global().parallel_for_lanes(begin, end, std::forward<Fn>(fn),
+                                          index_cost);
 }
 
 }  // namespace specmatch

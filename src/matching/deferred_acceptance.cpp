@@ -105,6 +105,8 @@ StageIResult run_deferred_acceptance_prepared(
                       index.offset(plan.shard_comps[s]);
       }
     }
+    // index_cost: a coalition solve measured 3-6 work units (ns) per buyer
+    // of the market, serially at N = 500-2000 (EXPERIMENTS.md).
     parallel_for_lanes(
         0, ws.coal_tasks.size(), [&](std::size_t lane, std::size_t t) {
           CoalitionTask& task = ws.coal_tasks[t];
@@ -131,7 +133,8 @@ StageIResult run_deferred_acceptance_prepared(
               config.coalition_policy, ws.lane_local[lane],
               ws.lane_weights[lane], ws.lane_scratch[lane],
               ws.coal_out.data() + task.out_begin);
-        });
+        },
+        4 * static_cast<std::size_t>(N));
     // Merge shard slices into the per-channel selection slots, fixed task
     // order (the order cannot influence the set — slices are disjoint).
     for (const CoalitionTask& task : ws.coal_tasks) {

@@ -1,5 +1,6 @@
 #include "matching/transfer_invitation.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/alloc_count.hpp"
@@ -113,14 +114,24 @@ StageIIResult run_transfer_invitation_prepared(
   // T_j: strictly-better sellers, best-first with a cursor; only the prefix
   // length is stored, no per-buyer list. Each buyer's prefix reads only the
   // (frozen) Stage-I matching and her own utility row, so all prefixes are
-  // found concurrently.
-  parallel_for(0, static_cast<std::size_t>(N), [&](std::size_t ju) {
-    if (restricted && !ws.stage2_active.test(ju)) {
-      ws.better_end[ju] = 0;
-      return;
-    }
-    ws.better_end[ju] = better_prefix(static_cast<BuyerId>(ju));
-  });
+  // found concurrently. index_cost: a prefix walk measured 1-3 work units
+  // (ns) per channel of the buyer's row; a restricted run walks only the
+  // active buyers' rows.
+  const auto n_buyers = static_cast<std::size_t>(N);
+  const std::size_t walked = restricted ? ws.stage2_active.count() : n_buyers;
+  const std::size_t prefix_cost =
+      1 + 2 * static_cast<std::size_t>(M) * walked /
+              std::max<std::size_t>(1, n_buyers);
+  parallel_for(
+      0, n_buyers,
+      [&](std::size_t ju) {
+        if (restricted && !ws.stage2_active.test(ju)) {
+          ws.better_end[ju] = 0;
+          return;
+        }
+        ws.better_end[ju] = better_prefix(static_cast<BuyerId>(ju));
+      },
+      prefix_cost);
   if (metrics::enabled())
     for (std::size_t ju = 0; ju < static_cast<std::size_t>(N); ++ju)
       metrics::observe("stage2.better_list_size",
@@ -128,7 +139,7 @@ StageIIResult run_transfer_invitation_prepared(
 
   while (true) {
     const std::int64_t round_allocs = counting ? alloc_count::total() : 0;
-    bool any_application = false;
+    std::size_t applications = 0;  // this round's
     for (BuyerId j = 0; j < N; ++j) {
       const auto ju = static_cast<std::size_t>(j);
       // Exhausted (or never-active) buyers cost O(1) here — the advance loop
@@ -146,9 +157,9 @@ StageIIResult run_transfer_invitation_prepared(
       const ChannelId i = prefs[ws.cursor[ju]++];
       ws.applicants[static_cast<std::size_t>(i)].set(ju);
       ++result.transfer_applications;
-      any_application = true;
+      ++applications;
     }
-    if (!any_application) break;
+    if (applications == 0) break;
     ++result.phase1_rounds;
 
     // Sellers decide simultaneously against a snapshot; moves are applied
@@ -187,6 +198,12 @@ StageIIResult run_transfer_invitation_prepared(
                       index.offset(plan.shard_comps[s]);
       }
     }
+    // index_cost: a decision measured about N/8 work units (ns) per
+    // application (a compatibility check and the MWIS), plus clearing its
+    // N-bit sets.
+    const std::size_t decide_cost =
+        n_buyers / 8 + applications * (n_buyers / 8) /
+                           std::max<std::size_t>(1, ws.coal_tasks.size());
     parallel_for_lanes(
         0, ws.coal_tasks.size(), [&](std::size_t lane, std::size_t t) {
           CoalitionTask& task = ws.coal_tasks[t];
@@ -220,7 +237,8 @@ StageIIResult run_transfer_invitation_prepared(
               config.coalition_policy, ws.lane_local[lane],
               ws.lane_weights[lane], ws.lane_scratch[lane],
               ws.coal_out.data() + task.out_begin);
-        });
+        },
+        decide_cost);
     for (const CoalitionTask& task : ws.coal_tasks) {
       if (task.shard == CoalitionTask::kWholeGraph) continue;
       DynamicBitset& accepted = ws.accepted[task.slot];
@@ -271,13 +289,21 @@ StageIIResult run_transfer_invitation_prepared(
     ws.invite_list[iu] = screened;
   };
   // Screening a list touches only that seller's slot (against the now-stable
-  // Phase-1 matching), so all sellers screen concurrently.
+  // Phase-1 matching), so all sellers screen concurrently. index_cost: a
+  // screen measured about N/16 work units (ns) per listed buyer (one
+  // compatibility check), plus clearing and copying its N-bit sets.
+  std::size_t listed = 0;
+  for (ChannelId i = 0; i < M; ++i)
+    listed += ws.rejected[static_cast<std::size_t>(i)].count();
+  const std::size_t screen_cost =
+      n_buyers / 8 + listed * (n_buyers / 16) / std::max<std::size_t>(1, M);
   parallel_for_lanes(0, static_cast<std::size_t>(M),
                      [&](std::size_t lane, std::size_t iu) {
                        const auto i = static_cast<ChannelId>(iu);
                        ws.invite_list[iu] = ws.rejected[iu];
                        screen(i, lane);
-                     });
+                     },
+                     screen_cost);
 
   // Component-local policies invite per (channel, interference component)
   // per round — components cannot interact, so inviting them simultaneously

@@ -8,6 +8,13 @@
 // touch, so `solve warm` runs Stage II alone on the surviving matching —
 // the dynamics/epochs warm policy, served online.
 //
+// A drain lane is a worker of this server's pool, not of the engine pool:
+// the engine's parallel_for nests inline only within its own pool, so a
+// solve fans out on ThreadPool::global() (SPECMATCH_THREADS lanes) while
+// SPECMATCH_SERVE_THREADS bounds how many markets drain at once. Concurrent
+// solves share the engine pool's single dispatch slot; whoever finds it
+// busy runs serially on its own lane (see common/thread_pool.hpp).
+//
 // Determinism contract (what serve_smoke pins bit-for-bit): the content of
 // every response depends only on the per-market request order, which equals
 // admission order; a transcript re-sequenced by Request::seq is therefore

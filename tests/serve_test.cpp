@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "common/alloc_count.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "matching/stability.hpp"
 #include "matching/two_stage.hpp"
 #include "serve/net_client.hpp"
@@ -439,6 +441,57 @@ TEST(MatchServerTest, SteadyStateServingIsAllocationFree) {
         << "resident-workspace serving allocated in steady-state rounds";
   }
   alloc_count::set_counting(false);
+}
+
+TEST(MatchServerTest, SteadyStateFanOutFromADrainLaneIsAllocationFree) {
+  // The test above on a market whose solves cross the engine pool's serial
+  // cutoff, served by a drain-lane worker (drain_lanes = 2): the engine must
+  // fan out on the global pool from there, and the dispatches must allocate
+  // nothing in steady rounds.
+  if (ThreadPool::global().num_threads() < 2)
+    GTEST_SKIP() << "pool.lanes < 2: the engine pool cannot fan out";
+  const bool metrics_were_on = metrics::enabled();
+  metrics::set_enabled(true);
+  const auto scenario = random_scenario(62, 16, 1500);
+  ServeConfig config = test_config();
+  config.check_warm = false;  // stability analysers are not alloc-free
+  config.drain_lanes = 2;
+  const auto serve = [&](MatchServer& server, int steps) {
+    ASSERT_TRUE(server.handle(create_request("m", scenario)).ok);
+    ASSERT_TRUE(server.handle(solve_request("m", false)).ok);
+    Rng rng(89);
+    for (int step = 0; step < steps; ++step) {
+      ASSERT_TRUE(
+          server
+              .handle(price_request(
+                  "m", static_cast<BuyerId>(rng.uniform_int(0, 1499)),
+                  static_cast<ChannelId>(rng.uniform_int(0, 15)),
+                  rng.uniform(0.0, 1.0)))
+              .ok);
+      ASSERT_TRUE(server.handle(solve_request("m", step % 2 == 0)).ok);
+    }
+  };
+  {
+    // Registers every metrics instrument the solves touch, so that first
+    // registrations do not count below.
+    MatchServer warmup(config);
+    serve(warmup, 2);
+  }
+  metrics::Counter& dispatches =
+      metrics::Registry::global().counter("pool.parallel_for_dispatches");
+  const std::int64_t dispatches_before = dispatches.value();
+  alloc_count::set_counting(true);
+  {
+    MatchServer server(config);
+    serve(server, 6);
+    EXPECT_EQ(server.steady_allocs(), 0)
+        << "fanned-out serving allocated in steady-state rounds";
+  }
+  alloc_count::set_counting(false);
+  metrics::set_enabled(metrics_were_on);
+  EXPECT_GT(dispatches.value() - dispatches_before, 0)
+      << "no solve crossed the serial cutoff; the market is too small to "
+         "test the parallel path";
 }
 
 // --- the wire: format_request / RequestReader line offsets ------------------

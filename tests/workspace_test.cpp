@@ -1,8 +1,8 @@
 // Tests for the MatchWorkspace reuse contract (matching/workspace.hpp):
 // results never depend on prior workspace contents, the workspace-taking
 // entry points are bit-identical to the legacy ones at every thread count,
-// and steady-state Stage I/II rounds allocate zero heap memory on the
-// serial path (the SPECMATCH_COUNT_ALLOCS counting allocator proves it).
+// and steady-state Stage I/II rounds allocate zero heap memory at 1, 2 and
+// 4 lanes (the SPECMATCH_COUNT_ALLOCS counting allocator proves it).
 // Also pins the copy-free buyer_utility_in down: membership of j itself
 // never counts as interference (neighbour sets are j-exclusive).
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/alloc_count.hpp"
 #include "common/bitset.hpp"
 #include "common/config.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "market/preferences.hpp"
@@ -146,26 +147,43 @@ TEST(WorkspaceTest, SharedWorkspaceIsThreadCountInvariant) {
 // new, not inferred. The first run warms the grow-only capacities; the
 // second run is the one held to zero.
 TEST(WorkspaceTest, SteadyRoundsAllocateNothingWhenWorkspaceIsWarm) {
-  ScopedThreads scope(1);  // the pool's parallel dispatch itself allocates
-  const auto market = generated_market(8, 120, 41);
-  matching::MatchWorkspace ws;
+  // At 1 lane this is the serial path. At 2 and 4 lanes the market is large
+  // enough for Stage I/II to cross the pool's serial cutoff, so the zero is
+  // also measured on the fan-out path (the dispatch counter proves it).
+  const auto market = generated_market(16, 1500, 41);
+  const bool metrics_were_on = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Counter& dispatches =
+      metrics::Registry::global().counter("pool.parallel_for_dispatches");
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ScopedThreads scope(threads);
+    matching::MatchWorkspace ws;
 
-  alloc_count::set_counting(true);
-  const auto warmup = matching::run_two_stage(market, {}, ws);
-  const auto warm = matching::run_two_stage(market, {}, ws);
-  alloc_count::set_counting(false);
+    alloc_count::set_counting(true);
+    const auto warmup = matching::run_two_stage(market, {}, ws);
+    const std::int64_t dispatches_before = dispatches.value();
+    const auto warm = matching::run_two_stage(market, {}, ws);
+    const std::int64_t fanned_out = dispatches.value() - dispatches_before;
+    alloc_count::set_counting(false);
 
-  // Counting was on, so the fields report real measurements, not -1.
-  ASSERT_GE(warmup.stage1.steady_allocs, 0);
-  ASSERT_GE(warm.stage1.steady_allocs, 0);
-  ASSERT_GE(warm.stage2.steady_allocs, 0);
+    // Counting was on, so the fields report real measurements, not -1.
+    ASSERT_GE(warmup.stage1.steady_allocs, 0);
+    ASSERT_GE(warm.stage1.steady_allocs, 0);
+    ASSERT_GE(warm.stage2.steady_allocs, 0);
 
-  // Enough rounds that "steady state" is non-vacuous for Stage I.
-  ASSERT_GE(warm.stage1.rounds, 2);
+    // Enough rounds that "steady state" is non-vacuous for Stage I.
+    ASSERT_GE(warm.stage1.rounds, 2);
 
-  EXPECT_EQ(warm.stage1.steady_allocs, 0);
-  EXPECT_EQ(warm.stage2.steady_allocs, 0);
-  expect_identical(warmup, warm);
+    EXPECT_EQ(warm.stage1.steady_allocs, 0);
+    EXPECT_EQ(warm.stage2.steady_allocs, 0);
+    if (threads == 1)
+      EXPECT_EQ(fanned_out, 0);
+    else
+      EXPECT_GT(fanned_out, 0);
+    expect_identical(warmup, warm);
+  }
+  metrics::set_enabled(metrics_were_on);
 }
 
 // Without the knob (or the test override) the counter never advances and
