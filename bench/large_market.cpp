@@ -7,8 +7,7 @@
 //
 // The deployment area grows with sqrt(N / 500) so buyer density (and hence
 // interference degree) stays at the paper's level instead of degenerating
-// into a clique; transmission ranges keep the paper's (0, 5] draw, so the
-// per-channel graphs still straddle the MWIS dense/sparse strategy split.
+// into a clique; transmission ranges keep the paper's (0, 5] draw.
 //
 // Knobs: SPECMATCH_BENCH_SMOKE shrinks the grid to smoke size,
 // SPECMATCH_SCALE_MAX_N caps the N sweep, SPECMATCH_BENCH_JSON overrides
@@ -47,17 +46,6 @@ double peak_rss_mb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
-}
-
-/// Total adjacency-storage footprint of a market's interference graphs, in
-/// MB. The representation-comparison leg reports this rather than process
-/// RSS: it runs after the big sweep points, by which time the allocator's
-/// recycled arenas make RSS deltas unattributable.
-double adjacency_mb(const market::SpectrumMarket& market) {
-  std::size_t bytes = 0;
-  for (ChannelId i = 0; i < market.num_channels(); ++i)
-    bytes += market.graph(i).adjacency_bytes();
-  return static_cast<double>(bytes) / (1024.0 * 1024.0);
 }
 
 market::SpectrumMarket scale_market(int M, int N) {
@@ -138,8 +126,7 @@ void run_scale_sweep() {
       record.steady_allocs = total_steady_allocs(result);
       if (N == 8000 && M == 16) {
         // Honest before/after: prior engines measured on this same point /
-        // seed / 1-core CI container. The two_stage_scale_rep rows below
-        // isolate the representation's share of the change.
+        // seed / 1-core CI container.
         record.note =
             "pre-workspace dense engine (c1f9ac9) ran this point in 1097 ms, "
             "workspace dense engine in 1085 ms; single core, see docs caveats";
@@ -182,67 +169,6 @@ void run_scale_sweep() {
         records.push_back(fresh);
       }
     }
-  }
-
-  // Dense-vs-CSR representation comparison at the before/after point. Runs
-  // LAST so the dense market's bitset rows (~128 MB at N=8000) cannot
-  // inflate the attributable per-point ru_maxrss readings above — by now
-  // the process high-water mark is already set by the N=20000 sweep points.
-  if (!smoke && std::find(n_grid.begin(), n_grid.end(), 8000) != n_grid.end()) {
-    const int M = 16;
-    const int N = 8000;
-    const int reps = bench::env_trials(3);
-    const auto csr_market = scale_market(M, N);
-    SPECMATCH_CHECK(csr_market.graph(0).representation() ==
-                    graph::GraphRep::kCsr);
-    const auto dense_market =
-        market::with_graph_representation(csr_market, graph::GraphRep::kDense);
-
-    matching::TwoStageResult csr_result;
-    csr_result = matching::run_two_stage(csr_market, {}, workspace);
-    double csr_ms = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      bench::WallTimer timer;
-      csr_result = matching::run_two_stage(csr_market, {}, workspace);
-      csr_ms =
-          r == 0 ? timer.elapsed_ms() : std::min(csr_ms, timer.elapsed_ms());
-    }
-
-    matching::TwoStageResult dense_result;
-    dense_result = matching::run_two_stage(dense_market, {}, workspace);
-    double dense_ms = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      bench::WallTimer timer;
-      dense_result = matching::run_two_stage(dense_market, {}, workspace);
-      dense_ms = r == 0 ? timer.elapsed_ms()
-                        : std::min(dense_ms, timer.elapsed_ms());
-    }
-    SPECMATCH_CHECK_MSG(
-        csr_result.final_matching() == dense_result.final_matching(),
-        "representation changed the matching at N=" << N << " M=" << M);
-
-    const auto rep_record = [&](const char* note_rep, double wall_ms,
-                                const matching::TwoStageResult& result,
-                                double adj_mb) {
-      bench::BenchRecord record{"two_stage_scale_rep", M,       N, "gwmin",
-                                threads,               wall_ms,
-                                total_rounds(result)};
-      record.steady_allocs = total_steady_allocs(result);
-      std::ostringstream note;
-      note << note_rep << "; adjacency_mb=" << adj_mb
-           << " (matchings verified identical)";
-      record.note = note.str();
-      return record;
-    };
-    const double csr_mb = adjacency_mb(csr_market);
-    const double dense_mb = adjacency_mb(dense_market);
-    records.push_back(rep_record("csr adjacency (default at this N)", csr_ms,
-                                 csr_result, csr_mb));
-    records.push_back(rep_record("dense bitset adjacency (forced)", dense_ms,
-                                 dense_result, dense_mb));
-    std::cout << "rep: N=" << N << " M=" << M << " csr_ms=" << csr_ms
-              << " dense_ms=" << dense_ms << " csr_adj_mb=" << csr_mb
-              << " dense_adj_mb=" << dense_mb << std::endl;
   }
 
   // Component-sharding leg: sub-percolation sparse markets whose channel

@@ -52,10 +52,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
     {"SPECMATCH_SCALE_MAX_N",
      "cap the N sweep of the large_market scale bench "
      "(bench/large_market.cpp)"},
-    {"SPECMATCH_GRAPH_DENSE_MAX",
-     "largest vertex count stored as dense bitset adjacency; bigger graphs "
-     "use the CSR representation, default 2048 "
-     "(graph/interference_graph.cpp)"},
     {"SPECMATCH_SIMD",
      "kernel dispatch tier: auto|avx2|sse2|scalar, default auto (highest "
      "tier the CPU supports); results are bit-identical at every setting "
@@ -77,9 +73,6 @@ constexpr EnvKnob kKnownEnvKnobs[] = {
      "CHECK after every warm solve that the result is interference-free and "
      "individually rational; welfare regressions always fall back to a cold "
      "re-solve (serve/server.cpp)"},
-    {"SPECMATCH_SERVE_WARM_FULL",
-     "run warm solves over the full buyer set instead of restricting Stage "
-     "II to the components touched since the last solve (serve/server.cpp)"},
     {"SPECMATCH_SERVE_LISTEN_BACKLOG",
      "listen(2) backlog of the TCP front-end, default 128 "
      "(serve/net_server.cpp)"},

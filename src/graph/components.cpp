@@ -73,8 +73,8 @@ ComponentIndex::ComponentIndex(const InterferenceGraph& graph) {
   // than half the vertices) also gets none: its subgraph would be a near-
   // full copy of the parent adjacency, and sharding a graph that is mostly
   // one component buys no parallelism — the workspace routes such channels
-  // down the whole-graph path instead (keeping dense channels above the
-  // percolation threshold at their PR-4 memory footprint).
+  // down the whole-graph path instead (keeping channels above the
+  // percolation threshold at their whole-graph memory footprint).
   subgraphs_.resize(num_comps);
   std::vector<std::pair<BuyerId, BuyerId>> local_edges;
   for (std::size_t c = 0; c < num_comps; ++c) {

@@ -6,7 +6,7 @@
 // one component are provably independent of every other. A ComponentIndex
 // labels the components once per graph and stores them compactly — component
 // id per vertex, CSR-style vertex lists per component, per-component
-// edge/degree summaries — alongside the dual dense/CSR adjacency, plus one
+// edge/degree summaries — alongside the CSR adjacency, plus one
 // local-id subgraph per non-trivial component so a per-component solve costs
 // O(n_c + E_c), not O(N).
 //

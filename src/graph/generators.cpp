@@ -21,10 +21,10 @@ InterferenceGraph geometric(std::span<const Point> positions, double range) {
   SPECMATCH_CHECK_MSG(range >= 0.0, "negative transmission range " << range);
   const std::size_t n = positions.size();
 
-  // Edges are collected into a flat pair list and bulk-loaded, so a CSR-sized
-  // input goes straight to finalized flat storage (from_edges) without ever
-  // materialising dense rows or per-vertex build vectors. Each unordered pair
-  // is tested exactly once, so the list is duplicate-free.
+  // Edges are collected into a flat pair list and bulk-loaded, so the input
+  // goes straight to finalized flat storage (from_edges) without ever
+  // materialising per-vertex build vectors. Each unordered pair is tested
+  // exactly once, so the list is duplicate-free.
   std::vector<std::pair<BuyerId, BuyerId>> edge_list;
 
   // Small inputs (and the degenerate range-0 case, where only coincident
@@ -48,7 +48,7 @@ InterferenceGraph geometric(std::span<const Point> positions, double range) {
   // still tested with the exact same distance predicate — so the edge set is
   // identical to the all-pairs scan, in O(n + pairs-in-adjacent-cells)
   // instead of O(n^2). Edge enumeration order differs, which is immaterial:
-  // from_edges sorts every adjacency row.
+  // from_edges emits every adjacency row ascending.
   double min_x = positions[0].x;
   double min_y = positions[0].y;
   for (const Point& p : positions) {

@@ -1,8 +1,8 @@
 #include "graph/interference_graph.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
+#include <memory>
 
 #include "common/check.hpp"
 #include "graph/components.hpp"
@@ -16,14 +16,12 @@ InterferenceGraph& InterferenceGraph::operator=(
     InterferenceGraph&& other) noexcept = default;
 
 InterferenceGraph::InterferenceGraph(const InterferenceGraph& other)
-    : rep_(other.rep_),
-      finalized_(other.finalized_),
+    : finalized_(other.finalized_),
       narrow_(other.narrow_),
       num_vertices_(other.num_vertices_),
       num_edges_(other.num_edges_),
       max_degree_(other.max_degree_),
       degrees_(other.degrees_),
-      adjacency_(other.adjacency_),
       rows_(other.rows_),
       offsets_(other.offsets_),
       flat16_(other.flat16_),
@@ -41,14 +39,12 @@ InterferenceGraph::InterferenceGraph(const InterferenceGraph& other)
 InterferenceGraph& InterferenceGraph::operator=(
     const InterferenceGraph& other) {
   if (this == &other) return *this;
-  rep_ = other.rep_;
   finalized_ = other.finalized_;
   narrow_ = other.narrow_;
   num_vertices_ = other.num_vertices_;
   num_edges_ = other.num_edges_;
   max_degree_ = other.max_degree_;
   degrees_ = other.degrees_;
-  adjacency_ = other.adjacency_;
   rows_ = other.rows_;
   offsets_ = other.offsets_;
   flat16_ = other.flat16_;
@@ -77,9 +73,7 @@ void InterferenceGraph::materialize() {
 }
 
 CsrView InterferenceGraph::csr_export() const {
-  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kCsr && finalized_,
-                      "csr_export requires a finalized CSR graph (convert "
-                      "dense graphs through with_representation first)");
+  SPECMATCH_CHECK_MSG(finalized_, "csr_export requires a finalized graph");
   CsrView view;
   view.num_vertices = num_vertices_;
   view.num_edges = num_edges_;
@@ -106,7 +100,6 @@ InterferenceGraph InterferenceGraph::from_csr_view(const CsrView& view) {
         view.narrow ? view.ids16 != nullptr : view.ids32 != nullptr,
         "CSR view missing neighbour-id array");
   InterferenceGraph g;
-  g.rep_ = GraphRep::kCsr;
   g.finalized_ = true;
   g.narrow_ = view.narrow;
   g.num_vertices_ = view.num_vertices;
@@ -129,56 +122,28 @@ std::size_t InterferenceGraph::component_index_bytes() const {
   return components_ == nullptr ? 0 : components_->bytes();
 }
 
-std::size_t InterferenceGraph::dense_max() {
-  static const std::size_t value = [] {
-    constexpr std::size_t kDefault = 2048;
-    const char* env = std::getenv("SPECMATCH_GRAPH_DENSE_MAX");
-    if (env == nullptr || env[0] == '\0') return kDefault;
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || parsed < 0) return kDefault;
-    return static_cast<std::size_t>(parsed);
-  }();
-  return value;
-}
-
 InterferenceGraph::InterferenceGraph(std::size_t num_vertices)
-    : InterferenceGraph(num_vertices, num_vertices <= dense_max()
-                                          ? GraphRep::kDense
-                                          : GraphRep::kCsr) {}
-
-InterferenceGraph::InterferenceGraph(std::size_t num_vertices, GraphRep rep)
-    : rep_(rep),
-      narrow_(num_vertices <= (std::size_t{1} << 16)),
+    : narrow_(num_vertices <= (std::size_t{1} << 16)),
       num_vertices_(num_vertices),
-      degrees_(num_vertices, 0) {
-  if (rep_ == GraphRep::kDense)
-    adjacency_.assign(num_vertices, DynamicBitset(num_vertices));
-  else
-    rows_.resize(num_vertices);
-}
+      degrees_(num_vertices, 0),
+      rows_(num_vertices) {}
 
 InterferenceGraph InterferenceGraph::from_edges(
     std::size_t num_vertices,
     std::span<const std::pair<BuyerId, BuyerId>> edge_list) {
-  return from_edges(num_vertices, edge_list,
-                    num_vertices <= dense_max() ? GraphRep::kDense
-                                                : GraphRep::kCsr);
-}
+  InterferenceGraph g;
+  g.narrow_ = num_vertices <= (std::size_t{1} << 16);
+  g.num_vertices_ = num_vertices;
+  g.degrees_.assign(num_vertices, 0);
 
-InterferenceGraph InterferenceGraph::from_edges(
-    std::size_t num_vertices,
-    std::span<const std::pair<BuyerId, BuyerId>> edge_list, GraphRep rep) {
-  InterferenceGraph g(num_vertices, rep);
-  if (rep == GraphRep::kDense) {
-    for (const auto& [a, b] : edge_list) g.add_edge(a, b);
-    return g;
-  }
-
-  // Straight-to-finalized CSR: count, prefix-sum, fill, sort, dedup. The
-  // only transients beyond the final arrays are the caller's edge list and
-  // one cursor vector — no per-vertex row vectors, which matters when the
-  // generator builds M large graphs back to back.
+  // Straight-to-finalized and sort-free: count, prefix-sum, then two
+  // counting passes over the directed pairs. Pass 1 buckets each pair's
+  // source by its neighbour; pass 2 walks the neighbours in ascending order
+  // and appends each one to its source's row, so every row comes out
+  // ascending with duplicates adjacent, where one compare drops them. No
+  // per-vertex row vectors: the transients beyond the final arrays are the
+  // caller's edge list, one cursor vector and the bucket array, kept in the
+  // graph's id width.
   for (const auto& [a, b] : edge_list) {
     g.check_vertex(a);
     g.check_vertex(b);
@@ -197,48 +162,64 @@ InterferenceGraph InterferenceGraph::from_edges(
   }
   g.offsets_[num_vertices] = static_cast<std::uint32_t>(total);
 
-  std::vector<std::uint32_t> cursor(g.offsets_.begin(),
-                                    g.offsets_.end() - (num_vertices ? 1 : 0));
+  // A vertex is a neighbour exactly as often as it is a source, so the
+  // buckets share the raw row offsets.
+  std::vector<std::uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   const auto fill = [&](auto& flat) {
-    flat.resize(total);
     using Id = typename std::remove_reference_t<decltype(flat)>::value_type;
+    auto bucket = std::make_unique_for_overwrite<Id[]>(total);
     for (const auto& [a, b] : edge_list) {
       const auto ua = static_cast<std::size_t>(a);
       const auto ub = static_cast<std::size_t>(b);
-      flat[cursor[ua]++] = static_cast<Id>(ub);
-      flat[cursor[ub]++] = static_cast<Id>(ua);
+      bucket[cursor[ub]++] = static_cast<Id>(ua);
+      bucket[cursor[ua]++] = static_cast<Id>(ub);
     }
-    // Sort each row and compact duplicates in place (the write cursor never
-    // overtakes the read cursor).
-    std::size_t write = 0;
-    for (std::size_t v = 0; v < num_vertices; ++v) {
-      const std::size_t begin = g.offsets_[v];
-      const std::size_t end = cursor[v];
-      std::sort(flat.begin() + static_cast<std::ptrdiff_t>(begin),
-                flat.begin() + static_cast<std::ptrdiff_t>(end));
-      g.offsets_[v] = static_cast<std::uint32_t>(write);
-      for (std::size_t k = begin; k < end; ++k)
-        if (k == begin || flat[k] != flat[k - 1]) flat[write++] = flat[k];
-      g.degrees_[v] = static_cast<std::uint32_t>(write - g.offsets_[v]);
-      g.max_degree_ = std::max<std::size_t>(g.max_degree_, g.degrees_[v]);
+    flat.resize(total);
+    std::copy(g.offsets_.begin(), g.offsets_.end() - 1, cursor.begin());
+    std::size_t dropped = 0;
+    for (std::size_t u = 0; u < num_vertices; ++u) {
+      const auto id = static_cast<Id>(u);
+      for (std::size_t k = g.offsets_[u]; k < g.offsets_[u + 1]; ++k) {
+        const std::size_t src = bucket[k];
+        std::uint32_t& end = cursor[src];
+        if (end == g.offsets_[src] || flat[end - 1] != id)
+          flat[end++] = id;
+        else
+          ++dropped;
+      }
     }
-    g.offsets_[num_vertices] = static_cast<std::uint32_t>(write);
-    flat.resize(write);
-    flat.shrink_to_fit();
+    bucket.reset();
+    // Close the gaps the dropped duplicates left (the write cursor never
+    // overtakes the read cursor). A duplicate-free list — the geometric
+    // generator's — is already in place.
+    std::size_t write = total;
+    if (dropped > 0) {
+      write = 0;
+      for (std::size_t v = 0; v < num_vertices; ++v) {
+        const std::size_t begin = g.offsets_[v];
+        const std::size_t end = cursor[v];
+        g.offsets_[v] = static_cast<std::uint32_t>(write);
+        for (std::size_t k = begin; k < end; ++k) flat[write++] = flat[k];
+        g.degrees_[v] = static_cast<std::uint32_t>(write - g.offsets_[v]);
+      }
+      g.offsets_[num_vertices] = static_cast<std::uint32_t>(write);
+      flat.resize(write);
+      flat.shrink_to_fit();
+    }
     g.num_edges_ = write / 2;
   };
   if (g.narrow_)
     fill(g.flat16_);
   else
     fill(g.flat32_);
-
-  std::vector<std::vector<std::uint32_t>>().swap(g.rows_);  // build rows unused
+  for (const std::uint32_t d : g.degrees_)
+    g.max_degree_ = std::max<std::size_t>(g.max_degree_, d);
   g.finalized_ = true;
   return g;
 }
 
 void InterferenceGraph::finalize() {
-  if (rep_ == GraphRep::kDense || finalized_) return;
+  if (finalized_) return;
   const std::size_t total = 2 * num_edges_;
   SPECMATCH_CHECK_MSG(total <= std::numeric_limits<std::uint32_t>::max(),
                       "CSR offsets overflow uint32");
@@ -292,24 +273,19 @@ void InterferenceGraph::add_edge(BuyerId a, BuyerId b) {
   check_vertex(a);
   check_vertex(b);
   SPECMATCH_CHECK_MSG(a != b, "self-loop at vertex " << a);
+  // Checked before definalize, so re-adding an existing edge (the scenario
+  // builder's dummy cliques) leaves a finalized graph finalized.
+  if (has_edge(a, b)) return;
   components_.reset();  // edge mutations invalidate the component index
+  if (finalized_) definalize();
   const auto ua = static_cast<std::size_t>(a);
   const auto ub = static_cast<std::size_t>(b);
-  if (rep_ == GraphRep::kDense) {
-    if (adjacency_[ua].test(ub)) return;  // already present
-    adjacency_[ua].set(ub);
-    adjacency_[ub].set(ua);
-  } else {
-    if (finalized_) definalize();
-    auto& row_a = rows_[ua];
-    const auto wa = static_cast<std::uint32_t>(ub);
-    const auto it_a = std::lower_bound(row_a.begin(), row_a.end(), wa);
-    if (it_a != row_a.end() && *it_a == wa) return;  // already present
-    row_a.insert(it_a, wa);
-    auto& row_b = rows_[ub];
-    const auto wb = static_cast<std::uint32_t>(ua);
-    row_b.insert(std::lower_bound(row_b.begin(), row_b.end(), wb), wb);
-  }
+  auto& row_a = rows_[ua];
+  const auto wa = static_cast<std::uint32_t>(ub);
+  row_a.insert(std::lower_bound(row_a.begin(), row_a.end(), wa), wa);
+  auto& row_b = rows_[ub];
+  const auto wb = static_cast<std::uint32_t>(ua);
+  row_b.insert(std::lower_bound(row_b.begin(), row_b.end(), wb), wb);
   ++num_edges_;
   max_degree_ = std::max<std::size_t>(
       max_degree_, std::max(++degrees_[ua], ++degrees_[ub]));
@@ -320,7 +296,6 @@ bool InterferenceGraph::has_edge(BuyerId a, BuyerId b) const {
   check_vertex(b);
   const auto ua = static_cast<std::size_t>(a);
   const auto ub = static_cast<std::size_t>(b);
-  if (rep_ == GraphRep::kDense) return adjacency_[ua].test(ub);
   if (!finalized_) {
     const auto& row = rows_[ua];
     return std::binary_search(row.begin(), row.end(),
@@ -339,23 +314,9 @@ bool InterferenceGraph::has_edge(BuyerId a, BuyerId b) const {
                             static_cast<std::uint32_t>(ub));
 }
 
-const DynamicBitset& InterferenceGraph::neighbors(BuyerId v) const {
-  check_vertex(v);
-  SPECMATCH_CHECK_MSG(rep_ == GraphRep::kDense,
-                      "neighbors() hands out a dense adjacency row; CSR "
-                      "graphs use the degree-proportional primitives");
-  return adjacency_[static_cast<std::size_t>(v)];
-}
-
 bool InterferenceGraph::is_independent(const DynamicBitset& members) const {
   SPECMATCH_CHECK(members.size() == num_vertices_);
   bool independent = true;
-  if (rep_ == GraphRep::kDense) {
-    members.for_each_set([&](std::size_t v) {
-      if (independent && adjacency_[v].intersects(members)) independent = false;
-    });
-    return independent;
-  }
   // Each edge is examined from one endpoint only (rows are ascending, so the
   // u > v half covers every edge once).
   members.for_each_set([&](std::size_t v) {
@@ -374,15 +335,6 @@ bool InterferenceGraph::is_independent(const DynamicBitset& members) const {
 std::vector<std::pair<BuyerId, BuyerId>> InterferenceGraph::edges() const {
   std::vector<std::pair<BuyerId, BuyerId>> out;
   out.reserve(num_edges_);
-  if (rep_ == GraphRep::kDense) {
-    for (std::size_t a = 0; a < num_vertices_; ++a) {
-      adjacency_[a].for_each_set([&](std::size_t b) {
-        if (a < b)
-          out.emplace_back(static_cast<BuyerId>(a), static_cast<BuyerId>(b));
-      });
-    }
-    return out;
-  }
   for (std::size_t a = 0; a < num_vertices_; ++a) {
     visit_row(static_cast<BuyerId>(a), [&](std::size_t b) {
       if (a < b)
@@ -400,11 +352,6 @@ double InterferenceGraph::average_degree() const {
 }
 
 std::size_t InterferenceGraph::adjacency_bytes() const {
-  std::size_t bytes = degrees_.size() * sizeof(std::uint32_t);
-  if (rep_ == GraphRep::kDense) {
-    const std::size_t words_per_row = (num_vertices_ + 63) / 64;
-    return bytes + num_vertices_ * words_per_row * sizeof(std::uint64_t);
-  }
   if (finalized_) {
     // Computed from counts so owned and view-backed graphs report the same
     // footprint (mapped pages occupy RSS once touched, just like owned
@@ -414,11 +361,9 @@ std::size_t InterferenceGraph::adjacency_bytes() const {
            2 * num_edges_ *
                (narrow_ ? sizeof(std::uint16_t) : sizeof(std::uint32_t));
   }
-  {
-    for (const auto& row : rows_)
-      bytes += row.capacity() * sizeof(std::uint32_t);
-    bytes += rows_.capacity() * sizeof(std::vector<std::uint32_t>);
-  }
+  std::size_t bytes = degrees_.size() * sizeof(std::uint32_t) +
+                      rows_.capacity() * sizeof(std::vector<std::uint32_t>);
+  for (const auto& row : rows_) bytes += row.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 
@@ -429,15 +374,7 @@ bool InterferenceGraph::operator==(const InterferenceGraph& other) const {
     if (degree(static_cast<BuyerId>(v)) !=
         other.degree(static_cast<BuyerId>(v)))
       return false;
-  if (rep_ == GraphRep::kDense && other.rep_ == GraphRep::kDense)
-    return adjacency_ == other.adjacency_;
   return edges() == other.edges();
-}
-
-InterferenceGraph with_representation(const InterferenceGraph& graph,
-                                      GraphRep rep) {
-  const auto edge_list = graph.edges();
-  return InterferenceGraph::from_edges(graph.num_vertices(), edge_list, rep);
 }
 
 }  // namespace specmatch::graph

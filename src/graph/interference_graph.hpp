@@ -1,32 +1,18 @@
 // Per-channel interference graph G_i = (V, E_i) over the virtual buyers.
 //
 // Vertices are BuyerIds; an edge (j, j') means buyers j and j' may not reuse
-// this channel simultaneously (paper §II-A). Two storage representations sit
-// behind one API:
+// this channel simultaneously (paper §II-A). The paper's graphs are sparse
+// geometric graphs, so adjacency is stored as compressed sparse rows: each
+// vertex's neighbour list, ascending, concatenated into one flat array
+// (16-bit ids when N <= 65536, 32-bit above) behind an offsets table. Memory
+// scales with edges, and every neighbourhood operation is O(deg).
 //
-//  * kDense — one DynamicBitset adjacency row per vertex, so "does buyer j
-//    interfere with anyone in coalition C" is a word-parallel intersection
-//    test running on the runtime-dispatched kernels of common/simd.hpp
-//    (AVX2/SSE2/scalar, bit-identical across tiers). O(N²) bits per graph:
-//    perfect for the paper-sized markets, ruinous at ROADMAP scale (M dense
-//    graphs at N = 20000 cost gigabytes).
-//  * kCsr — compressed sparse rows: each vertex's neighbour list, ascending,
-//    concatenated into one flat array (16-bit ids when N <= 65536, 32-bit
-//    above) behind an offsets table. Memory scales with edges, and every
-//    neighbourhood operation is O(deg) instead of O(N/64) words.
-//
-// The representation is chosen per graph at construction: vertex counts at or
-// below the SPECMATCH_GRAPH_DENSE_MAX env knob (default 2048) stay dense,
-// larger graphs go CSR. All queries are representation-agnostic; only
-// neighbors() — which hands out a dense row by reference — is dense-only, and
-// callers on hot paths use the degree-proportional primitives below instead.
-//
-// CSR graphs have a mutable build phase (per-vertex sorted rows, add_edge
+// Graphs have a mutable build phase (per-vertex sorted rows, add_edge
 // allowed) and an immutable finalized phase (the flat arrays). finalize()
 // compacts build rows into flat storage; SpectrumMarket finalizes its graphs
 // on construction, and the geometric generator emits finalized graphs
-// directly. add_edge on a finalized CSR graph transparently re-enters the
-// build phase (rare: clique edges over dummy buyers on small markets).
+// directly. add_edge of a new edge on a finalized graph transparently
+// re-enters the build phase (rare: clique edges over dummy buyers).
 #pragma once
 
 #include <cstddef>
@@ -43,12 +29,6 @@
 namespace specmatch::graph {
 
 class ComponentIndex;
-
-/// Adjacency storage strategy; see the header comment.
-enum class GraphRep : std::uint8_t {
-  kDense,  ///< one bitset row per vertex (word-parallel, O(N²) bits)
-  kCsr,    ///< compressed sparse rows (degree-proportional, O(E) ids)
-};
 
 /// Borrowed pointers into a finalized CSR adjacency: the exact arrays
 /// visit_row walks, suitable for writing to (or mapping from) a snapshot
@@ -71,25 +51,17 @@ class InterferenceGraph {
  public:
   InterferenceGraph() = default;
 
-  /// An edgeless graph over `num_vertices` buyers; representation chosen by
-  /// vertex count against dense_max().
+  /// An edgeless graph over `num_vertices` buyers, in the build phase.
   explicit InterferenceGraph(std::size_t num_vertices);
-
-  /// An edgeless graph with an explicit representation (tests, benches, and
-  /// the representation-comparison legs).
-  InterferenceGraph(std::size_t num_vertices, GraphRep rep);
 
   /// Bulk constructor: the graph over `num_vertices` buyers whose edge set is
   /// `edge_list` (unordered pairs; duplicates tolerated, self-loops rejected).
-  /// The CSR build goes straight to finalized flat storage — no per-vertex
-  /// row vectors — which keeps the generator's transient footprint at one
-  /// edge list, not a vector-of-vectors.
+  /// The build goes straight to finalized flat storage — no per-vertex row
+  /// vectors, no sorting — which keeps the generator's transient footprint
+  /// at the edge list plus one id-width bucket array.
   static InterferenceGraph from_edges(
       std::size_t num_vertices,
       std::span<const std::pair<BuyerId, BuyerId>> edge_list);
-  static InterferenceGraph from_edges(
-      std::size_t num_vertices,
-      std::span<const std::pair<BuyerId, BuyerId>> edge_list, GraphRep rep);
 
   // The lazily built component-index cache makes the graph's copy special
   // (copies share nothing; the cache is rebuilt on demand), so the whole
@@ -101,50 +73,36 @@ class InterferenceGraph {
   InterferenceGraph(InterferenceGraph&& other) noexcept;
   InterferenceGraph& operator=(InterferenceGraph&& other) noexcept;
 
-  /// Largest vertex count stored dense (SPECMATCH_GRAPH_DENSE_MAX, default
-  /// 2048); read once per process.
-  static std::size_t dense_max();
+  /// True once the rows live in the immutable flat arrays.
+  bool finalized() const { return finalized_; }
 
-  GraphRep representation() const { return rep_; }
-
-  /// True once CSR rows live in the immutable flat arrays (always true for
-  /// dense graphs — they have no separate build phase).
-  bool finalized() const { return rep_ == GraphRep::kDense || finalized_; }
-
-  /// Compacts CSR build rows into the flat arrays and frees the build
-  /// storage. Idempotent; no-op for dense graphs. Queries work in either
-  /// phase; finalize before long-term storage to drop the build overhead.
+  /// Compacts build rows into the flat arrays and frees the build storage.
+  /// Idempotent. Queries work in either phase; finalize before long-term
+  /// storage to drop the build overhead.
   void finalize();
 
   std::size_t num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return num_edges_; }
 
   /// Adds the undirected edge (a, b). Self-loops are rejected; duplicate
-  /// insertions are idempotent. Re-enters the build phase on a finalized
-  /// CSR graph.
+  /// insertions are idempotent (and leave a finalized graph finalized). A
+  /// new edge on a finalized graph re-enters the build phase.
   void add_edge(BuyerId a, BuyerId b);
 
   bool has_edge(BuyerId a, BuyerId b) const;
 
-  /// Adjacency row of `v`: bit j set iff (v, j) is an edge. Dense-only —
-  /// CSR graphs have no bitset row to hand out; use the degree-proportional
-  /// primitives below.
-  const DynamicBitset& neighbors(BuyerId v) const;
-
   /// Cached degree — O(1), maintained by add_edge (GWMIN scores it in a
-  /// loop; recomputing neighbors(v).count() was a word scan per call).
+  /// loop).
   std::size_t degree(BuyerId v) const {
     check_vertex(v);
     return degrees_data()[static_cast<std::size_t>(v)];
   }
 
   /// Borrowed view of the finalized CSR arrays, valid until the next
-  /// non-const call on this graph. Requires a finalized kCsr graph (the
-  /// snapshot writer converts dense graphs through with_representation
-  /// first).
+  /// non-const call on this graph. Requires a finalized graph.
   CsrView csr_export() const;
 
-  /// A finalized kCsr graph whose adjacency reads THROUGH `view`'s pointers
+  /// A finalized graph whose adjacency reads THROUGH `view`'s pointers
   /// — no copy. The caller guarantees the pointed-to memory (typically an
   /// mmap'd snapshot) outlives the graph. Copying a view-backed graph
   /// deep-copies into owned arrays; add_edge materializes first. `view` must
@@ -163,12 +121,10 @@ class InterferenceGraph {
   bool is_independent(const DynamicBitset& members) const;
 
   /// True iff `v` has no neighbour inside `members` (v itself may be in it).
-  /// Dense: one word-parallel intersection; CSR: O(deg(v)) with early exit.
+  /// O(deg(v)) with early exit.
   bool is_compatible(BuyerId v, const DynamicBitset& members) const {
     check_vertex(v);
     SPECMATCH_CHECK(members.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense)
-      return !adjacency_[static_cast<std::size_t>(v)].intersects(members);
     bool compatible = true;
     visit_row(v, [&](std::size_t u) {
       if (members.test(u)) {
@@ -182,14 +138,11 @@ class InterferenceGraph {
 
   /// Calls `fn(u)` for every neighbour u of `v`, ascending. The ascending
   /// order is part of the contract: GWMIN2 sums neighbour weights in
-  /// iteration order and the two representations must agree bit-for-bit.
+  /// iteration order, and the incremental solver must agree bit-for-bit
+  /// with the rescan reference and with per-component solves.
   template <typename Fn>
   void for_each_neighbor(BuyerId v, Fn&& fn) const {
     check_vertex(v);
-    if (rep_ == GraphRep::kDense) {
-      adjacency_[static_cast<std::size_t>(v)].for_each_set(fn);
-      return;
-    }
     visit_row(v, [&](std::size_t u) {
       fn(u);
       return true;
@@ -203,23 +156,16 @@ class InterferenceGraph {
                             Fn&& fn) const {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense) {
-      adjacency_[static_cast<std::size_t>(v)].for_each_set_and(mask, fn);
-      return;
-    }
     visit_row(v, [&](std::size_t u) {
       if (mask.test(u)) fn(u);
       return true;
     });
   }
 
-  /// |N(v) ∩ mask| — the degree of `v` inside `mask`. Dense graphs answer
-  /// with one fused and-popcount kernel pass over the adjacency row.
+  /// |N(v) ∩ mask| — the degree of `v` inside `mask`.
   std::size_t degree_in(BuyerId v, const DynamicBitset& mask) const {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense)
-      return adjacency_[static_cast<std::size_t>(v)].intersection_count(mask);
     std::size_t count = 0;
     visit_row(v, [&](std::size_t u) {
       count += mask.test(u) ? 1 : 0;
@@ -232,8 +178,6 @@ class InterferenceGraph {
   bool neighbors_subset_of(BuyerId v, const DynamicBitset& mask) const {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense)
-      return adjacency_[static_cast<std::size_t>(v)].is_subset_of(mask);
     bool subset = true;
     visit_row(v, [&](std::size_t u) {
       if (!mask.test(u)) {
@@ -250,10 +194,6 @@ class InterferenceGraph {
                     DynamicBitset& out) const {
     check_vertex(v);
     SPECMATCH_CHECK(mask.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense) {
-      out.assign_and(adjacency_[static_cast<std::size_t>(v)], mask);
-      return;
-    }
     out.assign_zero(num_vertices_);
     visit_row(v, [&](std::size_t u) {
       if (mask.test(u)) out.set(u);
@@ -265,10 +205,6 @@ class InterferenceGraph {
   void add_neighbors_to(BuyerId v, DynamicBitset& set) const {
     check_vertex(v);
     SPECMATCH_CHECK(set.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense) {
-      set |= adjacency_[static_cast<std::size_t>(v)];
-      return;
-    }
     visit_row(v, [&](std::size_t u) {
       set.set(u);
       return true;
@@ -279,10 +215,6 @@ class InterferenceGraph {
   void remove_neighbors_from(BuyerId v, DynamicBitset& set) const {
     check_vertex(v);
     SPECMATCH_CHECK(set.size() == num_vertices_);
-    if (rep_ == GraphRep::kDense) {
-      set -= adjacency_[static_cast<std::size_t>(v)];
-      return;
-    }
     visit_row(v, [&](std::size_t u) {
       set.reset(u);
       return true;
@@ -295,14 +227,12 @@ class InterferenceGraph {
   /// Mean vertex degree; 0 for the empty graph.
   double average_degree() const;
 
-  /// Heap bytes of the adjacency storage under the current representation
-  /// (dense bitset rows, or CSR offsets + flat ids + degree cache). The
-  /// bench's representation-comparison leg reports this because process RSS
+  /// Heap bytes of the adjacency storage (offsets + flat ids + degree
+  /// cache, or the build rows). Benches report this because process RSS
   /// cannot attribute memory once the allocator recycles freed arenas.
   std::size_t adjacency_bytes() const;
 
-  /// Representation-agnostic equality: same vertex count and same edge set
-  /// (a dense and a CSR graph over the same edges compare equal).
+  /// Same vertex count and same edge set, whatever the phase or backing.
   bool operator==(const InterferenceGraph& other) const;
 
   /// The graph's connected-component index, built lazily on first use and
@@ -324,7 +254,7 @@ class InterferenceGraph {
         "vertex " << v << " out of range [0, " << num_vertices_ << ")");
   }
 
-  /// CSR row walk, ascending, in whichever phase the graph is in. `fn`
+  /// Row walk, ascending, in whichever phase the graph is in. `fn`
   /// returns false to stop early.
   template <typename Fn>
   void visit_row(BuyerId v, Fn&& fn) const {
@@ -368,27 +298,20 @@ class InterferenceGraph {
   /// copy operations — a copy must never alias another graph's backing.
   void materialize();
 
-  /// Moves a finalized CSR graph back to build rows so add_edge can mutate.
+  /// Moves a finalized graph back to build rows so add_edge can mutate.
   void definalize();
 
-  /// True when 16-bit neighbour ids cover every vertex.
-  bool narrow_ids() const { return num_vertices_ <= (1u << 16); }
-
-  GraphRep rep_ = GraphRep::kDense;
-  bool finalized_ = false;  ///< CSR only; dense graphs ignore it
-  bool narrow_ = true;      ///< flat arrays use 16-bit ids
+  bool finalized_ = false;
+  bool narrow_ = true;  ///< flat arrays use 16-bit ids
   std::size_t num_vertices_ = 0;
   std::size_t num_edges_ = 0;
   std::size_t max_degree_ = 0;
   std::vector<std::uint32_t> degrees_;  ///< cached; add_edge maintains it
 
-  // kDense storage.
-  std::vector<DynamicBitset> adjacency_;
-
-  // kCsr build phase: one sorted (ascending) neighbour vector per vertex.
+  // Build phase: one sorted (ascending) neighbour vector per vertex.
   std::vector<std::vector<std::uint32_t>> rows_;
 
-  // kCsr finalized phase: rows concatenated behind an offsets table. One of
+  // Finalized phase: rows concatenated behind an offsets table. One of
   // flat16_/flat32_ is populated according to narrow_.
   std::vector<std::uint32_t> offsets_;  ///< num_vertices_ + 1 row starts
   std::vector<std::uint16_t> flat16_;
@@ -405,10 +328,5 @@ class InterferenceGraph {
   /// a copy rebuilds its own on first use. add_edge resets it.
   mutable std::unique_ptr<ComponentIndex> components_;
 };
-
-/// Rebuilds `graph` under `rep` (same vertices, same edges). Used by the
-/// dense-vs-CSR property tests and the bench comparison leg.
-InterferenceGraph with_representation(const InterferenceGraph& graph,
-                                      GraphRep rep);
 
 }  // namespace specmatch::graph

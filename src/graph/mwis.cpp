@@ -48,15 +48,11 @@ namespace {
 /// increment.
 struct GreedyWork {
   std::uint64_t picks = 0;       ///< vertices chosen into the set
-  std::uint64_t heap_pops = 0;   ///< incremental path: entries popped
-  std::uint64_t stale_pops = 0;  ///< incremental path: version-stale skips
-  std::uint64_t scan_evals = 0;  ///< scan path: score evaluations
+  std::uint64_t heap_pops = 0;   ///< entries popped
+  std::uint64_t stale_pops = 0;  ///< version-stale skips
 };
 
-/// GWMIN pick score: w(v) / (deg_R(v) + 1). degree_in is the fused
-/// and-popcount kernel (common/simd.hpp) on dense graphs and an O(deg) row
-/// walk on CSR — the integer degree (and hence the score bits) is identical
-/// either way, and across every SIMD dispatch tier.
+/// GWMIN pick score: w(v) / (deg_R(v) + 1), with deg_R an O(deg) row walk.
 struct GwminScanScore {
   const InterferenceGraph& graph;
   std::span<const double> weights;
@@ -69,10 +65,8 @@ struct GwminScanScore {
 };
 
 /// GWMIN2 pick score: w(v) / (w(v) + w(N_R(v))). for_each_neighbor_in visits
-/// the surviving neighbours in ascending order under both representations,
-/// so the floating-point sum — and the score — is bit-identical. The SIMD
-/// kernels only find the set bits to visit; the weight accumulation itself
-/// deliberately stays scalar, in ascending index order, on every tier.
+/// the surviving neighbours in ascending order, so the floating-point sum —
+/// and the score — is the same bits wherever it is computed.
 struct Gwmin2ScanScore {
   const InterferenceGraph& graph;
   std::span<const double> weights;
@@ -126,7 +120,7 @@ struct GwminIncremental {
 /// by floating-point subtraction without drifting off the reference bits, so
 /// touched survivors are re-summed — but only they are (the sum over
 /// N_R(v) is unchanged for everyone else), and the sum itself walks the
-/// intersection words directly instead of materialising a temporary.
+/// surviving neighbours directly instead of materialising a temporary.
 struct Gwmin2Incremental {
   const InterferenceGraph& graph;
   std::span<const double> weights;
@@ -238,24 +232,16 @@ void greedy(const InterferenceGraph& graph, Policy policy, MwisScratch& s,
   }
 }
 
-/// Scan-mode greedy: recompute every remaining candidate's score per pick.
-/// This is the right strategy on dense graphs, where nearly every survivor
-/// is adjacent to the removed neighbourhood anyway and the word-parallel
-/// bitset scoring beats per-edge bookkeeping. Also the body of the
-/// solve_mwis_rescan baseline.
-/// Picks the identical vertex sequence as the incremental skeleton: both
-/// take the highest score with ties to the lowest index, and the score
-/// values agree bit-for-bit.
-template <bool kCounting = false, typename ScoreFn>
+/// Scan-mode greedy, the body of the solve_mwis_rescan test oracle:
+/// recompute every remaining candidate's score per pick. Picks the identical
+/// vertex sequence as the incremental skeleton: both take the highest score
+/// with ties to the lowest index, and the score values agree bit-for-bit.
+template <typename ScoreFn>
 void greedy_scan(const InterferenceGraph& graph, const ScoreFn& score,
-                 MwisScratch& s, GreedyWork* work = nullptr) {
+                 MwisScratch& s) {
   DynamicBitset& remaining = s.viable;
   s.chosen.assign_zero(graph.num_vertices());
   while (remaining.any()) {
-    if constexpr (kCounting) {  // one popcount per pick, off the inner loop
-      ++work->picks;
-      work->scan_evals += remaining.count();
-    }
     double best_score = -std::numeric_limits<double>::infinity();
     std::size_t best_v = remaining.size();
     remaining.for_each_set([&](std::size_t v) {
@@ -351,28 +337,12 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
   check_inputs(graph, weights, candidates);
   viable_candidates(weights, candidates, scratch);
 
-  // Strategy split (outputs are bit-identical either way): lazy incremental
-  // scoring wins when neighbourhoods are small relative to the candidate
-  // set (the market's geometric graphs); on high-average-degree graphs with
-  // dense bitset rows, nearly every survivor is rescored every pick
-  // regardless, so the word-parallel scan without the heap bookkeeping is
-  // faster. CSR graphs have no word-parallel rows and always take the
-  // incremental path (mwis_uses_scan, shared with workspace heap sizing).
-  const bool dense = mwis_uses_scan(graph);
-
   GreedyWork work;
   GreedyWork* wp = metrics::enabled() ? &work : nullptr;
-  // Dispatch once on (algorithm, density, counting); the counting=false
+  // Dispatch once on (algorithm, counting); the counting=false
   // instantiations are the uninstrumented loops, so metrics-off runs pay
   // nothing inside the pick loop.
-  const auto run_greedy = [&](auto policy, auto scan_score) {
-    if (dense) {
-      if (wp != nullptr)
-        greedy_scan<true>(graph, scan_score, scratch, wp);
-      else
-        greedy_scan(graph, scan_score, scratch);
-      return;
-    }
+  const auto run_greedy = [&](auto policy) {
     if (wp != nullptr)
       greedy<true>(graph, std::move(policy), scratch, wp);
     else
@@ -381,13 +351,11 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
   bool solved = false;
   switch (algorithm) {
     case MwisAlgorithm::kGwmin:
-      run_greedy(GwminIncremental{graph, weights, scratch.deg},
-                 GwminScanScore{graph, weights});
+      run_greedy(GwminIncremental{graph, weights, scratch.deg});
       solved = true;
       break;
     case MwisAlgorithm::kGwmin2:
-      run_greedy(Gwmin2Incremental{graph, weights},
-                 Gwmin2ScanScore{graph, weights});
+      run_greedy(Gwmin2Incremental{graph, weights});
       solved = true;
       break;
     case MwisAlgorithm::kExact: {
@@ -409,16 +377,10 @@ const DynamicBitset& solve_mwis(const InterferenceGraph& graph,
     metrics::count("mwis.calls");
     metrics::count("mwis.picks", static_cast<std::int64_t>(work.picks));
     if (algorithm != MwisAlgorithm::kExact) {
-      if (dense) {
-        metrics::count("mwis.fallback_scans");
-        metrics::count("mwis.scan_score_evals",
-                       static_cast<std::int64_t>(work.scan_evals));
-      } else {
-        metrics::count("mwis.heap_pops",
-                       static_cast<std::int64_t>(work.heap_pops));
-        metrics::count("mwis.stale_pops",
-                       static_cast<std::int64_t>(work.stale_pops));
-      }
+      metrics::count("mwis.heap_pops",
+                     static_cast<std::int64_t>(work.heap_pops));
+      metrics::count("mwis.stale_pops",
+                     static_cast<std::int64_t>(work.stale_pops));
     }
   }
   return scratch.chosen;

@@ -27,23 +27,6 @@ enum class MwisAlgorithm : std::uint8_t {
 
 std::string_view to_string(MwisAlgorithm algorithm);
 
-/// Density split of the greedy solvers: dense-representation graphs with
-/// average degree (2E/V) at or above this take the heap-free word-parallel
-/// rescan, everything else the incremental lazy heap. Outputs are
-/// bit-identical either way.
-inline constexpr std::size_t kMwisScanDegreeThreshold = 64;
-
-/// True when solve_mwis will take the word-parallel rescan for this graph.
-/// CSR graphs always take the incremental path — without bitset rows there
-/// is no word-parallel scoring to win back the heap bookkeeping. Exported so
-/// workspace sizing can tell which channels will use the heap.
-inline bool mwis_uses_scan(const InterferenceGraph& graph) {
-  return graph.representation() == GraphRep::kDense &&
-         graph.num_vertices() > 0 &&
-         2 * graph.num_edges() >=
-             kMwisScanDegreeThreshold * graph.num_vertices();
-}
-
 /// Statistics of one solver invocation (exact solver reports search size).
 struct MwisStats {
   std::uint64_t nodes_explored = 0;
@@ -72,8 +55,8 @@ struct MwisScratch {
   std::vector<std::uint32_t> version;  ///< lazy-heap staleness stamps
   std::vector<HeapEntry> heap;         ///< lazy max-heap storage
 
-  /// Pre-sizes every container for an n-vertex graph whose sparse-path solve
-  /// holds at most `heap_entries` heap entries; pass heap_bound() below for
+  /// Pre-sizes every container for an n-vertex graph whose solve holds at
+  /// most `heap_entries` heap entries; pass heap_bound() below for
   /// a bound that guarantees allocation-free solves.
   void reserve(std::size_t n, std::size_t heap_entries);
 

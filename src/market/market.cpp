@@ -35,9 +35,8 @@ SpectrumMarket::SpectrumMarket(int num_channels, int num_buyers,
         g.num_vertices() == static_cast<std::size_t>(num_buyers_),
         "graph over " << g.num_vertices() << " vertices, expected "
                       << num_buyers_);
-    // Markets are immutable, so CSR graphs can drop their mutable build rows
-    // for the compact flat arrays here (a no-op when already finalized or
-    // dense).
+    // Markets are immutable, so graphs can drop their mutable build rows for
+    // the compact flat arrays here (a no-op when already finalized).
     g.finalize();
   }
   if (buyer_parents_.empty()) {
@@ -130,34 +129,6 @@ int SpectrumMarket::buyer_parent(BuyerId j) const {
 int SpectrumMarket::seller_parent(SellerId i) const {
   SPECMATCH_CHECK(i >= 0 && i < num_channels_);
   return seller_parents_[static_cast<std::size_t>(i)];
-}
-
-SpectrumMarket with_graph_representation(const SpectrumMarket& market,
-                                         graph::GraphRep rep) {
-  const int M = market.num_channels();
-  const int N = market.num_buyers();
-  std::vector<double> prices;
-  prices.reserve(static_cast<std::size_t>(M) * static_cast<std::size_t>(N));
-  std::vector<graph::InterferenceGraph> graphs;
-  graphs.reserve(static_cast<std::size_t>(M));
-  std::vector<int> seller_parents;
-  seller_parents.reserve(static_cast<std::size_t>(M));
-  std::vector<double> reserves;
-  reserves.reserve(static_cast<std::size_t>(M));
-  for (ChannelId i = 0; i < M; ++i) {
-    const auto row = market.channel_prices(i);
-    prices.insert(prices.end(), row.begin(), row.end());
-    graphs.push_back(graph::with_representation(market.graph(i), rep));
-    seller_parents.push_back(market.seller_parent(i));
-    reserves.push_back(market.reserve(i));
-  }
-  std::vector<int> buyer_parents;
-  buyer_parents.reserve(static_cast<std::size_t>(N));
-  for (BuyerId j = 0; j < N; ++j)
-    buyer_parents.push_back(market.buyer_parent(j));
-  return SpectrumMarket(M, N, std::move(prices), std::move(graphs),
-                        std::move(buyer_parents), std::move(seller_parents),
-                        std::move(reserves));
 }
 
 }  // namespace specmatch::market

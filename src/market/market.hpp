@@ -93,10 +93,4 @@ class SpectrumMarket {
   std::vector<double> reserves_;  // per channel, defaults to zeros
 };
 
-/// The same market with every interference graph rebuilt under `rep`
-/// (identical vertices, edges, prices, parents, reserves). Used by the
-/// dense-vs-CSR property tests and the bench representation-comparison leg.
-SpectrumMarket with_graph_representation(const SpectrumMarket& market,
-                                         graph::GraphRep rep);
-
 }  // namespace specmatch::market

@@ -11,8 +11,8 @@ double buyer_utility_in(const SpectrumMarket& market, BuyerId j,
   // can never contain j and testing against `members` directly is already
   // j-exclusive — no copy-and-mask-out-j temporary. This predicate is the
   // innermost call of Stage II screening and every stability check, so it
-  // must stay allocation-free: is_compatible is one word-parallel intersects
-  // on dense graphs and an early-exit O(deg) row walk on CSR.
+  // must stay allocation-free: is_compatible is an early-exit O(deg) row
+  // walk.
   if (!market.graph(channel).is_compatible(j, members)) return 0.0;
   return market.utility(channel, j);
 }

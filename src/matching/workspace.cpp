@@ -118,14 +118,12 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   comp_list.clear();
   comp_list.reserve(max_comps);
 
-  // One solver scratch per pool lane, sized by the worst heap-path channel.
+  // One solver scratch per pool lane, sized by the worst channel.
   // MwisScratch::heap_bound caps the lazy heap by max degree (the solver
   // compacts stale entries), so a multi-million-edge sparse channel costs a
-  // few hundred KB of heap per lane, not n + E entries. Channels that will
-  // take the heap-free scan path are skipped (mwis_uses_scan is the same
-  // predicate the solver dispatches on) — except sharded channels, whose
-  // component subgraphs may take the heap path even when the whole graph
-  // would scan, so their largest component is always covered.
+  // few hundred KB of heap per lane, not n + E entries. The whole-graph
+  // bound also covers every component subgraph's solve (fewer vertices, at
+  // most the same edges and max degree).
   const std::size_t lanes = ThreadPool::global().num_threads();
   if (lane_set.size() < lanes) lane_set.resize(lanes);
   if (lane_scratch.size() < lanes) lane_scratch.resize(lanes);
@@ -134,12 +132,6 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   std::size_t heap_bound = nu;
   for (ChannelId i = 0; i < M; ++i) {
     const graph::InterferenceGraph& g = market.graph(i);
-    if (shard_plans[static_cast<std::size_t>(i)].sharded())
-      heap_bound = std::max(
-          heap_bound,
-          graph::MwisScratch::heap_bound(g.components().largest_component(),
-                                         g.num_edges(), g.max_degree()));
-    if (graph::mwis_uses_scan(g)) continue;
     heap_bound = std::max(heap_bound, graph::MwisScratch::heap_bound(
                                           nu, g.num_edges(), g.max_degree()));
   }

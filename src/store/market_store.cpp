@@ -37,10 +37,9 @@ int hex_value(char c) {
   return -1;
 }
 
-/// Rebuilds one channel graph from its snapshot sections. CSR-resident
-/// graphs get a zero-copy view into the mapping; dense-resident graphs
-/// (small N) are re-materialized as bitset rows from the same CSR arrays so
-/// the loaded market serves under the exact representation it spilled with.
+/// Rebuilds one channel graph from its snapshot sections as a zero-copy view
+/// into the mapping. The legacy GraphMetaRecord::rep tag is not read: every
+/// channel was written as CSR arrays, whatever layout it was resident in.
 graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
                                     const GraphMetaRecord& meta,
                                     std::size_t num_vertices,
@@ -73,16 +72,26 @@ graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
   // price rows with these values, so nothing out of range may leave here.
   if (offsets[0] != 0 || offsets[n] != total)
     fail("CSR offsets do not cover the neighbour array");
+  std::size_t max_degree = 0;
   for (std::size_t v = 0; v < n; ++v) {
     if (offsets[v] > offsets[v + 1]) fail("CSR offsets are not monotone");
     if (degrees[v] != offsets[v + 1] - offsets[v])
       fail("cached degree disagrees with the CSR row length");
+    max_degree = std::max<std::size_t>(max_degree, degrees[v]);
   }
+  if (max_degree != meta.max_degree)
+    fail("max degree disagrees with the cached degrees");
+  // Rows must ascend strictly: the queries binary-search them and the
+  // solvers' bit-for-bit contract walks them in order.
   const auto check_ids = [&](const auto* ids) {
-    for (std::size_t k = 0; k < total; ++k)
-      if (static_cast<std::size_t>(ids[k]) >= n)
-        fail("neighbour id " + std::to_string(ids[k]) + " out of range [0, " +
-             std::to_string(n) + ")");
+    for (std::size_t v = 0; v < n; ++v)
+      for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+        if (static_cast<std::size_t>(ids[k]) >= n)
+          fail("neighbour id " + std::to_string(ids[k]) +
+               " out of range [0, " + std::to_string(n) + ")");
+        if (k > offsets[v] && ids[k] <= ids[k - 1])
+          fail("CSR row " + std::to_string(v) + " is not strictly ascending");
+      }
   };
 
   graph::CsrView view;
@@ -100,25 +109,7 @@ graph::InterferenceGraph load_graph(const MappedSnapshot& snap,
     check_ids(view.ids32);
   }
 
-  if (meta.rep == static_cast<std::uint32_t>(graph::GraphRep::kCsr))
-    return graph::InterferenceGraph::from_csr_view(view);
-
-  // Dense-resident channel: replay the rows into bitset adjacency.
-  graph::InterferenceGraph dense(n, graph::GraphRep::kDense);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto visit = [&](const auto* ids) {
-      for (std::size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
-        const std::size_t u = static_cast<std::size_t>(ids[k]);
-        if (v < u)
-          dense.add_edge(static_cast<BuyerId>(v), static_cast<BuyerId>(u));
-      }
-    };
-    if (narrow)
-      visit(view.ids16);
-    else
-      visit(view.ids32);
-  }
-  return dense;
+  return graph::InterferenceGraph::from_csr_view(view);
 }
 
 }  // namespace
@@ -237,10 +228,8 @@ std::vector<std::byte> build_snapshot_image(const MarketStateView& state) {
       SectionKind::kScenarioReserves,
       std::span<const double>(scenario.channel_reserves));
 
-  // The adjacency sections: every channel lands as finalized CSR arrays
-  // (dense-resident graphs are converted for the file; the meta record keeps
-  // the resident representation so load restores it). Each channel's
-  // sub-array starts kSectionAlign-aligned inside its blob.
+  // The adjacency sections: every channel's finalized CSR arrays, each
+  // sub-array kSectionAlign-aligned inside its blob.
   const auto align_up = [](std::size_t v) {
     return (v + kSectionAlign - 1) / kSectionAlign * kSectionAlign;
   };
@@ -256,17 +245,8 @@ std::vector<std::byte> build_snapshot_image(const MarketStateView& state) {
   std::vector<std::byte> degrees_blob;
   std::vector<std::byte> ids_blob;
   for (ChannelId i = 0; i < market.num_channels(); ++i) {
-    const graph::InterferenceGraph& resident = market.graph(i);
-    graph::InterferenceGraph converted;
-    const graph::InterferenceGraph* source = &resident;
-    if (resident.representation() != graph::GraphRep::kCsr ||
-        !resident.finalized()) {
-      converted = graph::with_representation(resident, graph::GraphRep::kCsr);
-      source = &converted;
-    }
-    const graph::CsrView view = source->csr_export();
+    const graph::CsrView view = market.graph(i).csr_export();
     GraphMetaRecord& record = meta[static_cast<std::size_t>(i)];
-    record.rep = static_cast<std::uint32_t>(resident.representation());
     record.narrow = view.narrow ? 1 : 0;
     record.num_edges = view.num_edges;
     record.max_degree = view.max_degree;

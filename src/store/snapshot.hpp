@@ -98,7 +98,7 @@ static_assert(sizeof(SectionEntry) == 32);
 /// sections (each kSectionAlign-aligned within its blob), so the layout of
 /// the blobs is independent of where they land in the file.
 struct GraphMetaRecord {
-  std::uint32_t rep = 0;     ///< resident representation: 0 dense, 1 CSR
+  std::uint32_t rep = 1;     ///< legacy layout tag: written 1, load ignores it
   std::uint32_t narrow = 0;  ///< 1 => 16-bit neighbour ids
   std::uint64_t num_edges = 0;
   std::uint64_t max_degree = 0;

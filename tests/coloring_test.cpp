@@ -100,8 +100,8 @@ TEST(ComponentsTest, ComponentsPartitionAllVertices) {
     covered |= comp;
     // No edges leave a component.
     comp.for_each_set([&](std::size_t v) {
-      EXPECT_TRUE(
-          g.neighbors(static_cast<BuyerId>(v)).is_subset_of(comp));
+      g.for_each_neighbor(static_cast<BuyerId>(v),
+                          [&](std::size_t u) { EXPECT_TRUE(comp.test(u)); });
     });
   }
   EXPECT_EQ(covered.count(), 40u);

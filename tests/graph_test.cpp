@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -54,7 +55,9 @@ TEST(InterferenceGraphTest, Neighbors) {
   g.add_edge(2, 0);
   g.add_edge(2, 4);
   g.add_edge(2, 5);
-  EXPECT_EQ(g.neighbors(2), bits(6, {0, 4, 5}));
+  std::vector<std::size_t> seen;
+  g.for_each_neighbor(2, [&](std::size_t u) { seen.push_back(u); });
+  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 4, 5}));
   EXPECT_EQ(g.degree(2), 3u);
 }
 
@@ -152,9 +155,10 @@ TEST(GeneratorsTest, DistanceHelper) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense vs CSR representation equivalence (property tests). One random graph
-// is rebuilt under both representations; every query — and the MWIS solvers
-// on top of them — must agree exactly.
+// CSR queries against independent oracles (property tests). Each random edge
+// list — duplicates and both orientations included — is also loaded into a
+// brute-force adjacency-set oracle; every query, and the MWIS solvers on top
+// of them, must agree with it exactly.
 // ---------------------------------------------------------------------------
 
 DynamicBitset random_mask(std::size_t n, double p, Rng& rng) {
@@ -164,99 +168,150 @@ DynamicBitset random_mask(std::size_t n, double p, Rng& rng) {
   return mask;
 }
 
-TEST(GraphRepresentationTest, QueriesAgreeOnRandomGraphs) {
-  const struct {
-    std::uint64_t seed;
-    std::size_t n;
-    double p;
-  } cases[] = {{1, 24, 0.3}, {2, 40, 0.1}, {3, 120, 0.05}, {4, 300, 0.02}};
-  for (const auto& c : cases) {
-    Rng rng(c.seed);
-    const auto base = erdos_renyi(c.n, c.p, rng);
-    const auto dense = with_representation(base, GraphRep::kDense);
-    const auto csr = with_representation(base, GraphRep::kCsr);
-    ASSERT_EQ(dense.representation(), GraphRep::kDense);
-    ASSERT_EQ(csr.representation(), GraphRep::kCsr);
+/// `count` random pairs over [0, n) with no self-loops; every fourth pair
+/// repeats an earlier one, reversed half of the time.
+std::vector<std::pair<BuyerId, BuyerId>> random_edge_list(std::size_t n,
+                                                          std::size_t count,
+                                                          Rng& rng) {
+  std::vector<std::pair<BuyerId, BuyerId>> out;
+  const auto hi = static_cast<std::int64_t>(n) - 1;
+  while (out.size() < count) {
+    if (!out.empty() && out.size() % 4 == 3) {
+      auto [a, b] = out[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1))];
+      if (rng.bernoulli(0.5)) std::swap(a, b);
+      out.emplace_back(a, b);
+      continue;
+    }
+    const auto a = static_cast<BuyerId>(rng.uniform_int(0, hi));
+    const auto b = static_cast<BuyerId>(rng.uniform_int(0, hi));
+    if (a != b) out.emplace_back(a, b);
+  }
+  return out;
+}
 
-    // Structure: equality is representation-agnostic in both directions.
-    EXPECT_EQ(dense, csr);
-    EXPECT_EQ(csr, dense);
-    EXPECT_EQ(dense.edges(), csr.edges());
-    EXPECT_EQ(dense.num_edges(), csr.num_edges());
-    EXPECT_EQ(dense.max_degree(), csr.max_degree());
+/// Brute-force oracle: one ordered neighbour set per vertex.
+std::vector<std::set<std::size_t>> oracle_adjacency(
+    std::size_t n, const std::vector<std::pair<BuyerId, BuyerId>>& edge_list) {
+  std::vector<std::set<std::size_t>> adj(n);
+  for (const auto& [a, b] : edge_list) {
+    adj[static_cast<std::size_t>(a)].insert(static_cast<std::size_t>(b));
+    adj[static_cast<std::size_t>(b)].insert(static_cast<std::size_t>(a));
+  }
+  return adj;
+}
 
-    Rng mask_rng(c.seed ^ 0x5eed);
-    for (int trial = 0; trial < 10; ++trial) {
-      const double density = mask_rng.uniform();
-      const auto mask = random_mask(c.n, density, mask_rng);
-      EXPECT_EQ(dense.is_independent(mask), csr.is_independent(mask));
-      for (std::size_t v = 0; v < c.n; ++v) {
-        const auto id = static_cast<BuyerId>(v);
-        EXPECT_EQ(dense.degree(id), csr.degree(id));
-        EXPECT_EQ(dense.is_compatible(id, mask), csr.is_compatible(id, mask));
-        EXPECT_EQ(dense.degree_in(id, mask), csr.degree_in(id, mask));
-        EXPECT_EQ(dense.neighbors_subset_of(id, mask),
-                  csr.neighbors_subset_of(id, mask));
+void expect_matches_oracle(const InterferenceGraph& g,
+                           const std::vector<std::set<std::size_t>>& adj,
+                           std::uint64_t mask_seed) {
+  const std::size_t n = adj.size();
+  ASSERT_EQ(g.num_vertices(), n);
+  std::vector<std::pair<BuyerId, BuyerId>> oracle_edges;
+  std::size_t max_degree = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    max_degree = std::max(max_degree, adj[v].size());
+    for (const std::size_t u : adj[v])
+      if (v < u)
+        oracle_edges.emplace_back(static_cast<BuyerId>(v),
+                                  static_cast<BuyerId>(u));
+  }
+  EXPECT_EQ(g.edges(), oracle_edges);
+  EXPECT_EQ(g.num_edges(), oracle_edges.size());
+  EXPECT_EQ(g.max_degree(), max_degree);
 
-        DynamicBitset out_dense(c.n);
-        DynamicBitset out_csr(c.n);
-        dense.neighbors_in(id, mask, out_dense);
-        csr.neighbors_in(id, mask, out_csr);
-        EXPECT_EQ(out_dense, out_csr);
-
-        out_dense = mask;
-        out_csr = mask;
-        dense.add_neighbors_to(id, out_dense);
-        csr.add_neighbors_to(id, out_csr);
-        EXPECT_EQ(out_dense, out_csr);
-        dense.remove_neighbors_from(id, out_dense);
-        csr.remove_neighbors_from(id, out_csr);
-        EXPECT_EQ(out_dense, out_csr);
-
-        // for_each_neighbor: identical ascending visitation order (the
-        // GWMIN2 bit-for-bit contract).
-        std::vector<std::size_t> seq_dense;
-        std::vector<std::size_t> seq_csr;
-        dense.for_each_neighbor(id,
-                                [&](std::size_t u) { seq_dense.push_back(u); });
-        csr.for_each_neighbor(id, [&](std::size_t u) { seq_csr.push_back(u); });
-        EXPECT_EQ(seq_dense, seq_csr);
-        EXPECT_TRUE(std::is_sorted(seq_csr.begin(), seq_csr.end()));
+  Rng mask_rng(mask_seed);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto mask = random_mask(n, mask_rng.uniform(), mask_rng);
+    bool independent = true;
+    mask.for_each_set([&](std::size_t v) {
+      for (const std::size_t u : adj[v]) independent &= !mask.test(u);
+    });
+    EXPECT_EQ(g.is_independent(mask), independent);
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto id = static_cast<BuyerId>(v);
+      const std::vector<std::size_t> row(adj[v].begin(), adj[v].end());
+      std::vector<std::size_t> in_mask;
+      for (const std::size_t u : row)
+        if (mask.test(u)) in_mask.push_back(u);
+      EXPECT_EQ(g.degree(id), row.size());
+      EXPECT_EQ(g.is_compatible(id, mask), in_mask.empty());
+      EXPECT_EQ(g.degree_in(id, mask), in_mask.size());
+      EXPECT_EQ(g.neighbors_subset_of(id, mask), in_mask.size() == row.size());
+      if (!row.empty()) {
+        EXPECT_TRUE(g.has_edge(id, static_cast<BuyerId>(row.front())));
+        EXPECT_TRUE(g.has_edge(static_cast<BuyerId>(row.back()), id));
       }
+
+      // for_each_neighbor(_in): ascending visitation (the GWMIN2
+      // bit-for-bit contract).
+      std::vector<std::size_t> seq;
+      g.for_each_neighbor(id, [&](std::size_t u) { seq.push_back(u); });
+      EXPECT_EQ(seq, row);
+      seq.clear();
+      g.for_each_neighbor_in(id, mask,
+                             [&](std::size_t u) { seq.push_back(u); });
+      EXPECT_EQ(seq, in_mask);
+
+      DynamicBitset expected(n);
+      for (const std::size_t u : in_mask) expected.set(u);
+      DynamicBitset out(n);
+      g.neighbors_in(id, mask, out);
+      EXPECT_EQ(out, expected);
+      out = mask;
+      expected = mask;
+      for (const std::size_t u : row) expected.set(u);
+      g.add_neighbors_to(id, out);
+      EXPECT_EQ(out, expected);
+      for (const std::size_t u : row) expected.reset(u);
+      g.remove_neighbors_from(id, out);
+      EXPECT_EQ(out, expected);
     }
   }
 }
 
-TEST(GraphRepresentationTest, MwisSelectionsAgreeOnRandomGraphs) {
+TEST(CsrGraphTest, QueriesMatchBruteForceOracle) {
+  const struct {
+    std::uint64_t seed;
+    std::size_t n;
+    std::size_t edges;
+  } cases[] = {{1, 24, 90}, {2, 40, 80}, {3, 120, 360}, {4, 300, 900}};
+  for (const auto& c : cases) {
+    Rng rng(c.seed);
+    const auto edge_list = random_edge_list(c.n, c.edges, rng);
+    const auto adj = oracle_adjacency(c.n, edge_list);
+    const auto bulk = InterferenceGraph::from_edges(c.n, edge_list);
+    InterferenceGraph incremental(c.n);
+    for (const auto& [a, b] : edge_list) incremental.add_edge(a, b);
+    SCOPED_TRACE(testing::Message() << "seed " << c.seed);
+    expect_matches_oracle(bulk, adj, c.seed ^ 0x5eed);
+    expect_matches_oracle(incremental, adj, c.seed ^ 0x5eed);
+    incremental.finalize();
+    expect_matches_oracle(incremental, adj, c.seed ^ 0x5eed);
+    EXPECT_EQ(bulk, incremental);
+  }
+}
+
+TEST(CsrGraphTest, MwisSelectionsMatchRescanOracle) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed);
     const std::size_t n = 40;
-    const auto base = erdos_renyi(n, 0.15, rng);
-    const auto dense = with_representation(base, GraphRep::kDense);
-    const auto csr = with_representation(base, GraphRep::kCsr);
+    const auto g = InterferenceGraph::from_edges(
+        n, random_edge_list(n, 120 * seed, rng));
     std::vector<double> weights(n);
     for (double& w : weights) w = rng.uniform(0.0, 10.0);
     Rng mask_rng(seed ^ 0xfeed);
     for (int trial = 0; trial < 5; ++trial) {
       const auto candidates = random_mask(n, 0.8, mask_rng);
-      for (auto algorithm : {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2,
-                             MwisAlgorithm::kExact}) {
-        const auto from_dense =
-            solve_mwis(dense, weights, candidates, algorithm);
-        const auto from_csr = solve_mwis(csr, weights, candidates, algorithm);
-        EXPECT_EQ(from_dense, from_csr)
+      for (auto algorithm : {MwisAlgorithm::kGwmin, MwisAlgorithm::kGwmin2})
+        EXPECT_EQ(solve_mwis(g, weights, candidates, algorithm),
+                  solve_mwis_rescan(g, weights, candidates, algorithm))
             << "algorithm " << to_string(algorithm) << " seed " << seed;
-      }
-      // The rescan reference is representation-agnostic too.
-      EXPECT_EQ(
-          solve_mwis_rescan(dense, weights, candidates, MwisAlgorithm::kGwmin2),
-          solve_mwis_rescan(csr, weights, candidates, MwisAlgorithm::kGwmin2));
     }
   }
 }
 
-TEST(GraphRepresentationTest, CsrBuildFinalizeAndMutateAfterFinalize) {
-  InterferenceGraph g(6, GraphRep::kCsr);
+TEST(CsrGraphTest, BuildFinalizeAndMutateAfterFinalize) {
+  InterferenceGraph g(6);
   EXPECT_FALSE(g.finalized());
   g.add_edge(2, 0);
   g.add_edge(2, 4);
@@ -270,11 +325,14 @@ TEST(GraphRepresentationTest, CsrBuildFinalizeAndMutateAfterFinalize) {
   EXPECT_EQ(g.degree(2), 2u);
   EXPECT_EQ(g.max_degree(), 2u);
 
-  // add_edge on a finalized CSR graph transparently re-enters the build
-  // phase (the scenario builder's clique pass relies on this).
-  g.add_edge(2, 4);  // duplicate against finalized storage
+  // A duplicate leaves finalized storage alone; a new edge on a finalized
+  // graph transparently re-enters the build phase (the scenario builder's
+  // clique pass relies on both).
+  g.add_edge(2, 4);
   EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_TRUE(g.finalized());
   g.add_edge(1, 5);
+  EXPECT_FALSE(g.finalized());
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(g.has_edge(5, 1));
   g.finalize();
@@ -284,43 +342,31 @@ TEST(GraphRepresentationTest, CsrBuildFinalizeAndMutateAfterFinalize) {
   EXPECT_EQ(edges[1], std::make_pair(BuyerId{1}, BuyerId{5}));
   EXPECT_EQ(edges[2], std::make_pair(BuyerId{2}, BuyerId{4}));
 
-  // Same checks as the dense representation.
   EXPECT_THROW(g.add_edge(1, 1), CheckError);
   EXPECT_THROW(g.add_edge(0, 6), CheckError);
-  // neighbors() hands out a dense row and is dense-only by contract.
-  EXPECT_THROW((void)g.neighbors(2), CheckError);
 }
 
-TEST(GraphRepresentationTest, FromEdgesDeduplicatesAndMatchesAddEdge) {
-  const std::vector<std::pair<BuyerId, BuyerId>> edge_list = {
-      {3, 1}, {0, 2}, {1, 3}, {2, 0}, {4, 0}};
-  const auto dense = InterferenceGraph::from_edges(5, edge_list,
-                                                   GraphRep::kDense);
-  const auto csr = InterferenceGraph::from_edges(5, edge_list, GraphRep::kCsr);
-  EXPECT_EQ(dense.num_edges(), 3u);
-  EXPECT_EQ(csr.num_edges(), 3u);
-  EXPECT_EQ(dense, csr);
-  EXPECT_TRUE(csr.finalized());
-  EXPECT_EQ(csr.degree(0), 2u);
-}
-
-TEST(GraphRepresentationTest, AutoSelectionFollowsDenseMaxKnob) {
-  if (std::getenv("SPECMATCH_GRAPH_DENSE_MAX") != nullptr)
-    GTEST_SKIP() << "SPECMATCH_GRAPH_DENSE_MAX overridden in environment";
-  EXPECT_EQ(InterferenceGraph::dense_max(), 2048u);
-  EXPECT_EQ(InterferenceGraph(64).representation(), GraphRep::kDense);
-  EXPECT_EQ(InterferenceGraph(2049).representation(), GraphRep::kCsr);
-}
-
-TEST(GraphRepresentationTest, GeometricEdgesIdenticalUnderBothReps) {
-  // Positions dense enough to exercise the grid-bucket path's edge list.
-  Rng rng(99);
-  std::vector<Point> pts;
-  for (int i = 0; i < 400; ++i)
-    pts.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
-  const auto g = geometric(pts, 1.5);
-  EXPECT_EQ(with_representation(g, GraphRep::kCsr),
-            with_representation(g, GraphRep::kDense));
+TEST(CsrGraphTest, FromEdgesDeduplicatesAndMatchesAddEdge) {
+  // One narrow (16-bit ids) and one wide (32-bit ids) vertex count; the
+  // wide case puts ids on both sides of the 16-bit boundary.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{70000}}) {
+    const auto big = static_cast<BuyerId>(n - 1);
+    const std::vector<std::pair<BuyerId, BuyerId>> edge_list = {
+        {3, 1}, {0, 2}, {1, 3}, {2, 0}, {4, 0}, {big, 1}, {1, big}, {3, 1}};
+    const auto bulk = InterferenceGraph::from_edges(n, edge_list);
+    InterferenceGraph incremental(n);
+    for (const auto& [a, b] : edge_list) incremental.add_edge(a, b);
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    EXPECT_TRUE(bulk.finalized());
+    EXPECT_EQ(bulk.csr_export().narrow, n <= (std::size_t{1} << 16));
+    EXPECT_EQ(bulk, incremental);
+    EXPECT_EQ(bulk.num_edges(), 4u);
+    EXPECT_EQ(bulk.degree(0), 2u);
+    EXPECT_EQ(bulk.max_degree(), 2u);
+    std::vector<std::size_t> row;
+    bulk.for_each_neighbor(1, [&](std::size_t u) { row.push_back(u); });
+    EXPECT_EQ(row, (std::vector<std::size_t>{3, n - 1}));
+  }
 }
 
 }  // namespace

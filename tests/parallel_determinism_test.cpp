@@ -128,9 +128,8 @@ TEST(ParallelDeterminismTest, RunTrialsAggregatesAreThreadCountInvariant) {
 }
 
 TEST(IncrementalMwisTest, MatchesRescanReferenceAcrossDensities) {
-  // Edge probabilities straddling the dense/sparse strategy threshold, so
-  // both the incremental-heap and the word-parallel-scan paths are compared
-  // against the preserved pre-change implementation.
+  // Edge probabilities from edgeless to near-complete, so the incremental
+  // heap is compared against the rescan reference at every degree regime.
   constexpr double kEdgeProbabilities[] = {0.0, 0.01, 0.05, 0.15, 0.4, 0.8};
   Rng rng(77);
   for (double p : kEdgeProbabilities) {

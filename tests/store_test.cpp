@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -104,6 +105,30 @@ void write_raw(const fs::path& path, std::span<const std::byte> bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
+/// The section table entry of `kind` in a snapshot image.
+SectionEntry section_of(std::span<const std::byte> image, SectionKind kind) {
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  for (std::uint32_t k = 0; k < header.section_count; ++k) {
+    SectionEntry entry;
+    std::memcpy(&entry, image.data() + sizeof(header) + k * sizeof(entry),
+                sizeof(entry));
+    if (entry.kind == static_cast<std::uint32_t>(kind)) return entry;
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<int>(kind);
+  return {};
+}
+
+/// Re-stamps the header checksum after a deliberate payload edit, so the
+/// edit reaches the structural checks instead of the checksum.
+void restamp_checksum(std::vector<std::byte>& image) {
+  SnapshotHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  header.checksum = fnv1a64(image.data() + sizeof(header),
+                            image.size() - sizeof(header));
+  std::memcpy(image.data(), &header, sizeof(header));
+}
+
 /// Expects MappedSnapshot construction (or load) to throw a SnapshotError
 /// whose message contains `needle`.
 void expect_load_error(const fs::path& path, const std::string& needle) {
@@ -173,6 +198,45 @@ TEST(SnapshotIntegrityTest, OverlongFileFailsLoudly) {
   expect_load_error(dir / "long.spms", "truncated or overlong");
 }
 
+TEST(SnapshotIntegrityTest, MalformedCsrFailsLoudly) {
+  // Loaded rows are served as-is (binary-searched, walked in order, the
+  // solver scratch sized by max degree), so well-checksummed CSR arrays
+  // that break either invariant must be refused.
+  const fs::path dir = scratch_dir("store_malformed_csr");
+  const auto scenario = random_scenario(15, 3, 8);
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  const auto clean = sample_image(scenario);
+  const SectionEntry meta = section_of(clean, SectionKind::kGraphMeta);
+  GraphMetaRecord record;
+  std::memcpy(&record, clean.data() + meta.offset, sizeof(record));
+  ASSERT_EQ(record.narrow, 1u);
+
+  auto image = clean;
+  GraphMetaRecord forged = record;
+  ++forged.max_degree;
+  std::memcpy(image.data() + meta.offset, &forged, sizeof(forged));
+  restamp_checksum(image);
+  write_raw(dir / "max_degree.spms", image);
+  expect_load_error(dir / "max_degree.spms", "max degree disagrees");
+
+  image = clean;
+  const graph::InterferenceGraph& g = built.graph(0);
+  BuyerId v = 0;
+  while (v < built.num_buyers() && g.degree(v) < 2) ++v;
+  ASSERT_LT(v, built.num_buyers()) << "channel 0 has no row to unsort";
+  const graph::CsrView view = g.csr_export();
+  const SectionEntry ids_section = section_of(image, SectionKind::kGraphIds);
+  std::byte* row = image.data() + ids_section.offset + record.ids_off +
+                   view.offsets[v] * sizeof(std::uint16_t);
+  std::uint16_t ids[2];
+  std::memcpy(ids, row, sizeof(ids));
+  std::swap(ids[0], ids[1]);
+  std::memcpy(row, ids, sizeof(ids));
+  restamp_checksum(image);
+  write_raw(dir / "unsorted.spms", image);
+  expect_load_error(dir / "unsorted.spms", "not strictly ascending");
+}
+
 // --- load fidelity ---------------------------------------------------------
 
 TEST(SnapshotRoundTripTest, ViewBackedGraphsAndMatchingsAreBitIdentical) {
@@ -215,6 +279,39 @@ TEST(SnapshotRoundTripTest, ViewBackedGraphsAndMatchingsAreBitIdentical) {
           << "seed " << seed << " threads " << threads;
     }
   }
+}
+
+TEST(SnapshotRoundTripTest, LegacyDenseRepTagLoadsAsCsrView) {
+  // Snapshots written while small graphs were resident as dense bitset rows
+  // carry rep = 0 in their graph meta records, over the same CSR arrays.
+  // Load ignores the tag: rewrite it to 0 (re-stamping the checksum) and
+  // every channel still loads as a view equal to the graph written.
+  const auto scenario = random_scenario(24, 4, 12);
+  const market::SpectrumMarket built = market::build_market(*scenario);
+  auto image = sample_image(scenario);
+  const SectionEntry meta = section_of(image, SectionKind::kGraphMeta);
+  ASSERT_EQ(meta.count, static_cast<std::uint64_t>(built.num_channels()));
+  for (std::uint64_t c = 0; c < meta.count; ++c) {
+    std::byte* at = image.data() + meta.offset + c * sizeof(GraphMetaRecord);
+    GraphMetaRecord record;
+    std::memcpy(&record, at, sizeof(record));
+    EXPECT_EQ(record.rep, 1u);
+    record.rep = 0;
+    std::memcpy(at, &record, sizeof(record));
+  }
+  restamp_checksum(image);
+  const fs::path dir = scratch_dir("store_legacy_rep");
+  write_raw(dir / "legacy.spms", image);
+
+  LoadedMarket loaded = load_market(
+      std::make_shared<MappedSnapshot>((dir / "legacy.spms").string()));
+  ASSERT_NE(loaded.market, nullptr);
+  for (ChannelId i = 0; i < built.num_channels(); ++i) {
+    EXPECT_TRUE(loaded.market->graph(i).csr_view_backed()) << "channel " << i;
+    EXPECT_EQ(built.graph(i), loaded.market->graph(i)) << "channel " << i;
+  }
+  EXPECT_EQ(matching::run_two_stage(built).final_matching(),
+            matching::run_two_stage(*loaded.market).final_matching());
 }
 
 TEST(SnapshotRoundTripTest, CarriedStateSurvives) {

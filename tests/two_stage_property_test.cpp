@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/simd.hpp"
@@ -143,9 +144,10 @@ TEST(TwoStageTest, SingleChannelKeepsBestIndependentSetApproximately) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense vs CSR: the graph representation must be invisible to the engine.
-// Same markets rebuilt under each representation, run at 1 and 4 threads —
-// the matchings and welfare series must be bit-for-bit identical.
+// Pinned outputs. These markets (N <= 60) were solved on the dense bitset
+// adjacency before the CSR layout became the only one; the seller of every
+// buyer and the welfare series recorded then must come out bit-for-bit, at
+// 1 and 4 threads.
 // ---------------------------------------------------------------------------
 
 class ScopedThreads {
@@ -164,43 +166,66 @@ class ScopedThreads {
   int saved_;
 };
 
-TEST(GraphRepresentationEquivalenceTest, TwoStageMatchingsBitForBitIdentical) {
-  for (auto [seed, M, N] : {std::make_tuple(11u, 4, 20),
-                            std::make_tuple(12u, 6, 40),
-                            std::make_tuple(13u, 8, 60)}) {
-    const auto base = random_market(seed, M, N);
-    const auto dense =
-        market::with_graph_representation(base, graph::GraphRep::kDense);
-    const auto csr =
-        market::with_graph_representation(base, graph::GraphRep::kCsr);
-    for (ChannelId i = 0; i < M; ++i) {
-      ASSERT_EQ(dense.graph(i).representation(), graph::GraphRep::kDense);
-      ASSERT_EQ(csr.graph(i).representation(), graph::GraphRep::kCsr);
-      ASSERT_EQ(dense.graph(i), csr.graph(i));
-    }
-    for (auto policy :
-         {graph::MwisAlgorithm::kGwmin, graph::MwisAlgorithm::kGwmin2}) {
-      TwoStageConfig config;
-      config.coalition_policy = policy;
-      for (int threads : {1, 4}) {
-        ScopedThreads scope(threads);
-        const auto from_dense = run_two_stage(dense, config);
-        const auto from_csr = run_two_stage(csr, config);
-        EXPECT_EQ(from_dense.final_matching(), from_csr.final_matching())
-            << "seed " << seed << " threads " << threads;
-        EXPECT_EQ(from_dense.stage1.matching, from_csr.stage1.matching);
-        EXPECT_EQ(from_dense.stage1.rounds, from_csr.stage1.rounds);
-        EXPECT_EQ(from_dense.welfare_stage1, from_csr.welfare_stage1);
-        EXPECT_EQ(from_dense.welfare_phase1, from_csr.welfare_phase1);
-        EXPECT_EQ(from_dense.welfare_final, from_csr.welfare_final);
-      }
+std::vector<SellerId> sellers_of(const Matching& matching) {
+  std::vector<SellerId> out;
+  for (BuyerId j = 0; j < matching.num_buyers(); ++j)
+    out.push_back(matching.seller_of(j));
+  return out;
+}
+
+TEST(PinnedOutputsTest, TwoStageMatchesRecordedDenseRuns) {
+  const struct {
+    std::uint64_t seed;
+    int M;
+    int N;
+    graph::MwisAlgorithm policy;
+    int rounds;
+    double welfare;
+    std::vector<SellerId> sellers;
+  } cases[] = {
+      {11, 4, 20, graph::MwisAlgorithm::kGwmin, 3, 14.769966547308753,
+       {3, 2, 0, 2, 1, 1, 1, 3, 3, 1, 3, 3, 3, 2, 2, 3, 2, 1, 2, 2}},
+      {11, 4, 20, graph::MwisAlgorithm::kGwmin2, 3, 14.769966547308753,
+       {3, 2, 0, 2, 1, 1, 1, 3, 3, 1, 3, 3, 3, 2, 2, 3, 2, 1, 2, 2}},
+      {12, 6, 40, graph::MwisAlgorithm::kGwmin, 6, 30.884497097467481,
+       {3, 2, 5, 3, 0, 5, 4, 0, 5, 0, 3, 5, 4, 5, 1, 1, 5, 4, 5, 1,
+        -1, 3, 2, 2, 5, 4, 5, 4, 5, 5, 2, 3, 0, 2, 4, 5, 1, 5, 0, 5}},
+      {12, 6, 40, graph::MwisAlgorithm::kGwmin2, 6, 30.884497097467481,
+       {3, 2, 5, 3, 0, 5, 4, 0, 5, 0, 3, 5, 4, 5, 1, 1, 5, 4, 5, 1,
+        -1, 3, 2, 2, 5, 4, 5, 4, 5, 5, 2, 3, 0, 2, 4, 5, 1, 5, 0, 5}},
+      {13, 8, 60, graph::MwisAlgorithm::kGwmin, 8, 47.803488121115045,
+       {3, 5, 4, 4, 6, 1, 4, 4, 4, 5, 4, 1, 0, 1, 0, 1, 1, 5, 3, 6,
+        5, 5, 6, 7, 5, 1, 4, 5, 3, 7, 2, 4, 5, 6, 4, 5, 6, 6, 3, 0,
+        6, 4, 1, 2, 0, 6, 5, 5, 6, 5, 3, 5, 1, 6, 2, 3, 0, 0, 0, 4}},
+      {13, 8, 60, graph::MwisAlgorithm::kGwmin2, 8, 48.456721920103377,
+       {3, 5, 4, 4, 6, 1, 4, 4, 4, 5, 4, 1, 0, 1, 0, 1, 1, 5, 3, 6,
+        5, 5, 6, 7, 5, 1, 0, 5, 3, 7, 2, 4, 5, 6, 4, 5, 6, 6, 3, 0,
+        6, 4, 1, 2, 0, 6, 5, 5, 6, 5, 3, 5, 1, 6, 2, 3, 4, 0, 0, 4}},
+  };
+  for (const auto& c : cases) {
+    const auto market = random_market(c.seed, c.M, c.N);
+    TwoStageConfig config;
+    config.coalition_policy = c.policy;
+    for (int threads : {1, 4}) {
+      ScopedThreads scope(threads);
+      SCOPED_TRACE(testing::Message() << "seed " << c.seed << " policy "
+                                      << to_string(c.policy) << " threads "
+                                      << threads);
+      const auto result = run_two_stage(market, config);
+      // On these markets Stage II moves nobody: Stage I's matching is final.
+      EXPECT_EQ(sellers_of(result.final_matching()), c.sellers);
+      EXPECT_EQ(result.stage1.matching, result.final_matching());
+      EXPECT_EQ(result.stage1.rounds, c.rounds);
+      EXPECT_EQ(result.welfare_stage1, c.welfare);
+      EXPECT_EQ(result.welfare_phase1, c.welfare);
+      EXPECT_EQ(result.welfare_final, c.welfare);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Scalar vs dispatched SIMD: the kernel dispatch tier must be as invisible
-// as the graph representation. Same markets, scalar-forced vs the highest
+// Scalar vs dispatched SIMD: the kernel dispatch tier must be invisible to
+// the engine. Same markets, scalar-forced vs the highest
 // supported tier, at 1 and 4 threads — matchings, rounds, and welfare series
 // bit-for-bit identical.
 // ---------------------------------------------------------------------------
@@ -370,18 +395,14 @@ TEST(WarmServePropertyTest, TranscriptAndInvariantsStableAcrossThreads) {
   }
 }
 
-TEST(GraphRepresentationEquivalenceTest, SwapResolutionIdenticalAcrossReps) {
-  const auto base = random_market(29, 6, 30);
-  const auto dense =
-      market::with_graph_representation(base, graph::GraphRep::kDense);
-  const auto csr =
-      market::with_graph_representation(base, graph::GraphRep::kCsr);
-  const auto from_dense = run_two_stage_with_swaps(dense);
-  const auto from_csr = run_two_stage_with_swaps(csr);
-  EXPECT_EQ(from_dense.matching, from_csr.matching);
-  EXPECT_EQ(from_dense.swaps_applied, from_csr.swaps_applied);
-  EXPECT_EQ(from_dense.relocations, from_csr.relocations);
-  EXPECT_EQ(from_dense.welfare_after, from_csr.welfare_after);
+TEST(PinnedOutputsTest, SwapResolutionMatchesRecordedDenseRun) {
+  const auto result = run_two_stage_with_swaps(random_market(29, 6, 30));
+  EXPECT_EQ(sellers_of(result.matching),
+            (std::vector<SellerId>{5, 1, 3, 0, 4, 3, 1, 0, 4, 0, 2, 4, 4, -1, 1,
+                                   4, 3, 2, 5, 4, 2, 4, 0, 5, 3, 4, 4, 2, 2, -1}));
+  EXPECT_EQ(result.swaps_applied, 0);
+  EXPECT_EQ(result.relocations, 0);
+  EXPECT_EQ(result.welfare_after, 22.517120554692241);
 }
 
 }  // namespace

@@ -68,8 +68,8 @@ def load_records(path):
                 rec.get("algorithm"),
                 rec.get("threads"),
             )
-        # Duplicate keys (e.g. repeated representation legs) keep the first
-        # occurrence so OLD and NEW pair up the same way.
+        # Duplicate keys keep the first occurrence so OLD and NEW pair up the
+        # same way.
         table.setdefault(key, rec)
     return table
 

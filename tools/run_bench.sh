@@ -7,9 +7,10 @@
 # the paper's running-time panel for eyeballing.
 #
 #   tools/run_bench.sh                 # full perf run, writes BENCH_core.json
-#   tools/run_bench.sh --scale         # large-market N x M sweep, writes
-#                                      # BENCH_scale.json (wall time, rounds,
-#                                      # peak RSS, steady-round allocations)
+#   tools/run_bench.sh --scale         # large-market N x M sweep at threads
+#                                      # {1, 2, 4}, writes BENCH_scale.json
+#                                      # (wall time, rounds, peak RSS,
+#                                      # steady-round allocations)
 #   tools/run_bench.sh --serve         # closed-loop serving load run, writes
 #                                      # BENCH_serve.json (cold/warm latency
 #                                      # percentiles, throughput, shed burst)
@@ -51,10 +52,24 @@ if [[ "${1:-}" == "--scale" ]]; then
   cmake --build "$build_dir" -j"$(nproc)" --target large_market
   # Allocation counting on, so every record carries steady_allocs and the
   # zero-allocation guarantee is re-proved on the real sweep, not just the
-  # smoke grid. The JSON lands at the repo root for review diffs.
-  SPECMATCH_COUNT_ALLOCS=1 \
-  SPECMATCH_BENCH_JSON="$repo_root/BENCH_scale.json" \
-    "$build_dir/bench/large_market"
+  # smoke grid. One process per thread count keeps each peak-RSS reading
+  # attributable; the records are concatenated into one JSON at the repo
+  # root for review diffs (bench_compare keys rows by thread count).
+  tmpdir="$(mktemp -d)"
+  trap 'rm -rf "$tmpdir"' EXIT
+  for threads in 1 2 4; do
+    SPECMATCH_COUNT_ALLOCS=1 SPECMATCH_THREADS="$threads" \
+    SPECMATCH_BENCH_JSON="$tmpdir/scale_t$threads.json" \
+      "$build_dir/bench/large_market"
+  done
+  python3 - "$repo_root/BENCH_scale.json" "$tmpdir"/scale_t{1,2,4}.json <<'PY'
+import json, sys
+docs = [json.load(open(path)) for path in sys.argv[2:]]
+rows = [json.dumps(r) for d in docs for r in d["records"]]
+with open(sys.argv[1], "w") as out:
+    out.write('{\n"schema": "%s",\n"records": [\n  ' % docs[0]["schema"])
+    out.write(",\n  ".join(rows) + "\n]\n}\n")
+PY
   exit 0
 fi
 
@@ -147,8 +162,8 @@ if [[ "${1:-}" == "--smoke" ]]; then
   # Scale-bench leg: smoke-sized sweep with the counting allocator on. The
   # records must exist AND report zero steady-round allocations — this is
   # the MatchWorkspace zero-allocation guarantee enforced in CI on top of
-  # the unit test (threads default to 1 here, the serial path the guarantee
-  # is scoped to).
+  # the unit test (threads pinned to 1 here; the thread legs below cover 2
+  # and 4).
   echo "bench_smoke: large_market (scale)"
   if ! SPECMATCH_COUNT_ALLOCS=1 SPECMATCH_THREADS=1 \
        SPECMATCH_BENCH_JSON="$tmpdir/BENCH_scale.json" \
@@ -203,33 +218,41 @@ if [[ "${1:-}" == "--smoke" ]]; then
     echo "bench_smoke: forced-small-component leg missing steady_allocs measurements" >&2
     status=1
   }
-  # CSR leg: force the sparse representation onto the smoke grid (60/200
-  # vertices, normally dense) so CI exercises the CSR engine paths
-  # end-to-end, with the same zero-steady-allocation bar.
-  echo "bench_smoke: large_market (scale, forced CSR)"
-  if ! SPECMATCH_COUNT_ALLOCS=1 SPECMATCH_THREADS=1 \
-       SPECMATCH_GRAPH_DENSE_MAX=32 \
-       SPECMATCH_BENCH_JSON="$tmpdir/BENCH_scale_csr.json" \
-       "$bindir/large_market" > "$tmpdir/large_market_csr.log" 2>&1; then
-    echo "bench_smoke: FAILED large_market (forced CSR)" >&2
-    tail -n 30 "$tmpdir/large_market_csr.log" >&2
-    status=1
-  fi
-  grep -q '"bench": "two_stage_scale"' "$tmpdir/BENCH_scale_csr.json" || {
-    echo "bench_smoke: BENCH_scale_csr.json missing two_stage_scale records" >&2
-    status=1
-  }
-  if grep -q '"steady_allocs": [1-9-]' "$tmpdir/BENCH_scale_csr.json"; then
-    echo "bench_smoke: forced-CSR leg reports non-zero steady allocations" >&2
-    grep '"steady_allocs"' "$tmpdir/BENCH_scale_csr.json" >&2
-    status=1
-  fi
-  # Representation-aware peak-RSS budget: the smoke grid tops out at
-  # N=200 x M=8, where either representation fits comfortably in 256 MB
-  # (binary + gtest-free runtime + workload). A blown budget means an
-  # adjacency (or workspace) regression, caught here before the real
-  # N=20000 gate in BENCH_scale.json.
-  for scale_json in BENCH_scale.json BENCH_scale_csr.json; do
+  # Thread legs: the same smoke sweep on 2 and 4 engine lanes. The fan-out
+  # path must allocate nothing in steady rounds either, and its `result:`
+  # transcript must be byte-identical to the threads=1 leg above.
+  for threads in 2 4; do
+    echo "bench_smoke: large_market (scale, threads=$threads)"
+    if ! SPECMATCH_COUNT_ALLOCS=1 SPECMATCH_THREADS="$threads" \
+         SPECMATCH_BENCH_JSON="$tmpdir/BENCH_scale_t$threads.json" \
+         "$bindir/large_market" > "$tmpdir/large_market_t$threads.log" 2>&1; then
+      echo "bench_smoke: FAILED large_market (threads=$threads)" >&2
+      tail -n 30 "$tmpdir/large_market_t$threads.log" >&2
+      status=1
+    fi
+    grep '^result:' "$tmpdir/large_market_t$threads.log" \
+      > "$tmpdir/results_t$threads.txt" || true
+    if ! diff -u "$tmpdir/results_default.txt" \
+         "$tmpdir/results_t$threads.txt" >&2; then
+      echo "bench_smoke: threads=$threads transcript differs from threads=1" >&2
+      status=1
+    fi
+    if grep -q '"steady_allocs": [1-9-]' "$tmpdir/BENCH_scale_t$threads.json"; then
+      echo "bench_smoke: threads=$threads leg reports non-zero steady allocations" >&2
+      grep '"steady_allocs"' "$tmpdir/BENCH_scale_t$threads.json" >&2
+      status=1
+    fi
+    grep -q '"steady_allocs": 0' "$tmpdir/BENCH_scale_t$threads.json" || {
+      echo "bench_smoke: threads=$threads leg missing steady_allocs measurements" >&2
+      status=1
+    }
+  done
+  # Peak-RSS budget: the smoke grid tops out at N=200 x M=8, which fits
+  # comfortably in 256 MB (binary + gtest-free runtime + workload) at any
+  # lane count. A blown budget means an adjacency (or workspace)
+  # regression, caught here before the real N=20000 gate in
+  # BENCH_scale.json.
+  for scale_json in BENCH_scale.json BENCH_scale_t2.json BENCH_scale_t4.json; do
     over_budget="$(awk -F': ' '/"peak_rss_mb"/ {
         gsub(/[,}].*/, "", $2); if ($2 + 0 > 256) print $2 }' \
         "$tmpdir/$scale_json")"
