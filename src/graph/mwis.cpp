@@ -33,8 +33,9 @@ double set_weight(std::span<const double> weights,
 void MwisScratch::reserve(std::size_t n, std::size_t heap_entries) {
   viable.assign_zero(n);
   chosen.assign_zero(n);
-  removed.assign_zero(n);
-  touched.assign_zero(n);
+  removed.reserve(n);
+  touched.reserve(n);
+  mark.reserve(n);
   deg.reserve(n);
   version.reserve(n);
   heap.reserve(heap_entries);
@@ -80,63 +81,72 @@ struct Gwmin2ScanScore {
   }
 };
 
+// Incremental policies. init(v) scores a candidate at the start of a solve
+// and rescore(v) a survivor after a pick removed some of its neighbours;
+// both return false instead of a score when v has no neighbour left in
+// `remaining`, and the skeleton then takes v without a heap entry.
+// lose_neighbor(w) is called once per (removed vertex, surviving
+// neighbour w) pair before any rescore of the pick.
+
 /// Incremental GWMIN state: deg_R(v) is kept exact (an integer) under batch
 /// removals, so a rescore is one division with the same operands the rescan
 /// reference would produce — bit-identical by construction, and the update
 /// work totals O(edges) over a whole solve instead of O(picks x candidates)
 /// score recomputations. The degree array is borrowed from the caller's
-/// scratch and fully re-initialised by init().
+/// scratch; only candidates' entries are written and read.
 struct GwminIncremental {
   const InterferenceGraph& graph;
   std::span<const double> weights;
-  std::vector<std::size_t>& deg;
+  std::vector<std::uint32_t>& deg;
 
-  void init(const DynamicBitset& remaining) {
-    deg.assign(graph.num_vertices(), 0);
-    remaining.for_each_set([&](std::size_t v) {
-      deg[v] = graph.degree_in(static_cast<BuyerId>(v), remaining);
-    });
+  void prepare(std::size_t n) {
+    if (deg.size() < n) deg.resize(n);
   }
 
-  double score(std::size_t v, const DynamicBitset&) const {
-    return weights[v] / (static_cast<double>(deg[v]) + 1.0);
+  bool init(std::size_t v, const DynamicBitset& remaining, double& score) {
+    deg[v] = static_cast<std::uint32_t>(
+        graph.degree_in(static_cast<BuyerId>(v), remaining));
+    return rescore(v, remaining, score);
   }
 
-  /// `removed` has already been subtracted from `remaining`; updates the
-  /// degrees and marks the survivors whose score changed.
-  void apply_removal(const DynamicBitset& removed,
-                     const DynamicBitset& remaining, DynamicBitset& touched) {
-    removed.for_each_set([&](std::size_t u) {
-      graph.for_each_neighbor_in(static_cast<BuyerId>(u), remaining,
-                                 [&](std::size_t w) {
-                                   --deg[w];
-                                   touched.set(w);
-                                 });
-    });
+  void lose_neighbor(std::size_t w) { --deg[w]; }
+
+  bool rescore(std::size_t v, const DynamicBitset&, double& score) const {
+    if (deg[v] == 0) return false;
+    score = weights[v] / (static_cast<double>(deg[v]) + 1.0);
+    return true;
   }
 };
 
 /// Incremental GWMIN2 state: the neighbour-weight sum cannot be maintained
 /// by floating-point subtraction without drifting off the reference bits, so
 /// touched survivors are re-summed — but only they are (the sum over
-/// N_R(v) is unchanged for everyone else), and the sum itself walks the
-/// surviving neighbours directly instead of materialising a temporary.
+/// N_R(v) is unchanged for everyone else), in Gwmin2ScanScore's ascending
+/// order.
 struct Gwmin2Incremental {
   const InterferenceGraph& graph;
   std::span<const double> weights;
 
-  void init(const DynamicBitset&) {}
+  void prepare(std::size_t) {}
 
-  double score(std::size_t v, const DynamicBitset& remaining) const {
-    return Gwmin2ScanScore{graph, weights}(v, remaining);
+  bool init(std::size_t v, const DynamicBitset& remaining, double& score) {
+    return rescore(v, remaining, score);
   }
 
-  void apply_removal(const DynamicBitset& removed,
-                     const DynamicBitset& remaining, DynamicBitset& touched) {
-    removed.for_each_set([&](std::size_t u) {
-      graph.add_neighbors_to(static_cast<BuyerId>(u), touched);
-    });
-    touched &= remaining;
+  void lose_neighbor(std::size_t) {}
+
+  bool rescore(std::size_t v, const DynamicBitset& remaining,
+               double& score) const {
+    double nbr_weight = 0.0;
+    bool any = false;
+    graph.for_each_neighbor_in(static_cast<BuyerId>(v), remaining,
+                               [&](std::size_t u) {
+                                 nbr_weight += weights[u];
+                                 any = true;
+                               });
+    if (!any) return false;
+    score = weights[v] / (weights[v] + nbr_weight);
+    return true;
   }
 };
 
@@ -158,34 +168,59 @@ struct WorseEntry {
 /// survivors adjacent to a removed vertex can change; the policy rescores
 /// exactly those, with values bit-identical to a full rescan (same operands,
 /// same summation order). Stale heap entries are skipped via a per-vertex
-/// version counter. The heap is a plain vector driven by std::push_heap /
-/// std::pop_heap — the exact operations std::priority_queue performs — so
-/// the pop order is unchanged while the storage (and everything else in the
-/// loop) comes from the reusable scratch.
-/// `kCounting` is a compile-time switch so the metrics-off instantiation is
-/// the exact pre-instrumentation loop — no per-pop null checks or register
-/// pressure (the off-mode wall time is part of the perf acceptance bar).
+/// version counter; the heap order is a strict total order on current
+/// entries, so the pop sequence does not depend on push order or on the
+/// heap's internal arrangement.
+///
+/// A vertex with no neighbour in `remaining` — a candidate isolated among
+/// the candidates, or a survivor whose last neighbour a pick removed — is
+/// taken at once with no heap entry: no pick can remove it, and taking it
+/// removes nobody else and changes no other score, so the rescan reference
+/// picks it too, at some point, without altering the rest of its sequence.
+///
+/// Per pick the work is the picked vertex's row, the removed vertices'
+/// rows and the touched survivors' rescores: the closed neighbourhood and
+/// the touched set live in short lists (a per-pick stamp dedupes touched),
+/// and the loop ends on a live count, so no pick sweeps the n-bit sets.
+/// Per-vertex arrays are written only at candidates.
+/// `kCounting` is a compile-time switch so the metrics-off instantiation
+/// carries no per-pop counter updates.
 template <bool kCounting, typename Policy>
 void greedy(const InterferenceGraph& graph, Policy policy, MwisScratch& s,
             GreedyWork* work = nullptr) {
   const std::size_t n = graph.num_vertices();
   DynamicBitset& remaining = s.viable;
   s.chosen.assign_zero(n);
-  if (remaining.none()) return;
-
-  s.version.assign(n, 0);
+  if (s.version.size() < n) s.version.resize(n);
+  if (s.mark.size() < n) s.mark.resize(n);
+  policy.prepare(n);
   s.heap.clear();
-  policy.init(remaining);
-  remaining.for_each_set([&](std::size_t v) {
-    s.heap.push_back(
-        {policy.score(v, remaining), static_cast<std::uint32_t>(v), 0});
-    std::push_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
-  });
 
-  s.touched.assign_zero(n);
-  while (remaining.any()) {
+  // Isolated candidates go straight to `chosen` and stay in `remaining`
+  // until the scoring pass is over: no candidate is their neighbour, so
+  // they change no other candidate's score.
+  std::uint64_t taken = 0;
+  remaining.for_each_set([&](std::size_t v) {
+    double score;
+    if (!policy.init(v, remaining, score)) {
+      s.chosen.set(v);
+      ++taken;
+      return;
+    }
+    s.version[v] = 0;
+    s.mark[v] = 0;
+    s.heap.push_back({score, static_cast<std::uint32_t>(v), 0});
+  });
+  if (taken > 0) remaining -= s.chosen;
+  std::make_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
+
+  // Lazy-deletion compaction threshold (see the end of the loop).
+  const std::size_t compact_above = 2 * s.heap.size() + 16;
+  std::size_t live = s.heap.size();
+  std::uint32_t pick_stamp = 0;
+  while (live > 0) {
     // Every remaining vertex always has one current entry queued, so the
-    // heap cannot run dry before `remaining` does.
+    // heap cannot run dry before `live` does.
     SPECMATCH_DCHECK(!s.heap.empty());
     std::pop_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
     const MwisScratch::HeapEntry top = s.heap.back();
@@ -197,29 +232,54 @@ void greedy(const InterferenceGraph& graph, Policy policy, MwisScratch& s,
       continue;
     }
 
-    if constexpr (kCounting) ++work->picks;
+    ++taken;
     s.chosen.set(v);
-    graph.neighbors_in(static_cast<BuyerId>(v), remaining, s.removed);
-    s.removed.set(v);
-    remaining -= s.removed;
+    remaining.reset(v);
+    s.removed.clear();
+    // Each row lists a neighbour once, so clearing it mid-walk cannot hide
+    // another neighbour from the walk's membership test.
+    graph.for_each_neighbor_in(static_cast<BuyerId>(v), remaining,
+                               [&](std::size_t u) {
+                                 remaining.reset(u);
+                                 s.removed.push_back(
+                                     static_cast<std::uint32_t>(u));
+                               });
+    live -= 1 + s.removed.size();
 
+    // v's own row has no survivor left; walk the removed neighbours'.
+    ++pick_stamp;
     s.touched.clear();
-    policy.apply_removal(s.removed, remaining, s.touched);
-    s.touched.for_each_set([&](std::size_t u) {
-      s.heap.push_back({policy.score(u, remaining),
-                        static_cast<std::uint32_t>(u), ++s.version[u]});
+    for (const std::uint32_t u : s.removed) {
+      graph.for_each_neighbor_in(static_cast<BuyerId>(u), remaining,
+                                 [&](std::size_t w) {
+                                   policy.lose_neighbor(w);
+                                   if (s.mark[w] != pick_stamp) {
+                                     s.mark[w] = pick_stamp;
+                                     s.touched.push_back(
+                                         static_cast<std::uint32_t>(w));
+                                   }
+                                 });
+    }
+    for (const std::uint32_t w : s.touched) {
+      double score;
+      if (!policy.rescore(w, remaining, score)) {
+        ++taken;
+        s.chosen.set(w);
+        remaining.reset(w);
+        --live;
+        continue;
+      }
+      s.heap.push_back({score, w, ++s.version[w]});
       std::push_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
-    });
+    }
 
     // Lazy-deletion compaction: when the accumulated stale debt outgrows the
     // live set, drop every superseded entry and re-heapify. The pick
-    // sequence is unchanged — each surviving entry is the unique current one
-    // for its vertex and WorseEntry is a strict total order on them, so the
-    // pop order does not depend on the heap's internal arrangement. This is
-    // what bounds the heap by max degree instead of by edge count (see
+    // sequence is unchanged (the order is strict on current entries). This
+    // is what bounds the heap by max degree instead of by edge count (see
     // MwisScratch::heap_bound): without it a big sparse graph's heap would
     // grow toward n + E entries.
-    if (s.heap.size() > 2 * n + 16) {
+    if (s.heap.size() > compact_above) {
       s.heap.erase(
           std::remove_if(s.heap.begin(), s.heap.end(),
                          [&](const MwisScratch::HeapEntry& e) {
@@ -230,6 +290,7 @@ void greedy(const InterferenceGraph& graph, Policy policy, MwisScratch& s,
       std::make_heap(s.heap.begin(), s.heap.end(), WorseEntry{});
     }
   }
+  if constexpr (kCounting) work->picks = taken;
 }
 
 /// Scan-mode greedy, the body of the solve_mwis_rescan test oracle:

@@ -32,12 +32,16 @@ struct MwisStats {
   std::uint64_t nodes_explored = 0;
 };
 
-/// Reusable per-solve scratch for the greedy solvers. Every container is
-/// reinitialised at the start of each solve (results never depend on prior
-/// contents), so one scratch can serve any sequence of solves; once
-/// reserve() has been called with large-enough bounds, a greedy solve
-/// performs zero heap allocations. The exact solver is exempt (its
-/// branch-and-bound recursion allocates per node; it is ablation-only).
+/// Reusable per-solve scratch for the greedy solvers. Results never depend
+/// on prior contents: the bitsets are reassigned per solve and the
+/// per-vertex arrays are written at a solve's candidates before they are
+/// read, so one scratch can serve any sequence of solves. No step of a solve
+/// sweeps all n vertices per pick — the per-pick state is the short
+/// `removed`/`touched` lists — so a solve costs what its candidates cost
+/// plus a few n/64-word bitset passes. Once reserve() has been called with
+/// large-enough bounds, a greedy solve performs zero heap allocations. The
+/// exact solver is exempt (its branch-and-bound recursion allocates per
+/// node; it is ablation-only).
 struct MwisScratch {
   /// Lazy max-heap entry: (score, vertex) plus the vertex's version stamp at
   /// push time, so superseded entries are skipped on pop.
@@ -47,11 +51,12 @@ struct MwisScratch {
     std::uint32_t version;
   };
 
-  DynamicBitset viable;   ///< remaining candidates during the solve
-  DynamicBitset chosen;   ///< the result set (referenced by the return value)
-  DynamicBitset removed;  ///< closed neighbourhood of the latest pick
-  DynamicBitset touched;  ///< survivors rescored after the latest pick
-  std::vector<std::size_t> deg;        ///< GWMIN: exact deg_R(v)
+  DynamicBitset viable;  ///< remaining candidates during the solve
+  DynamicBitset chosen;  ///< the result set (referenced by the return value)
+  std::vector<std::uint32_t> removed;  ///< closed neighbourhood of a pick
+  std::vector<std::uint32_t> touched;  ///< survivors to rescore after it
+  std::vector<std::uint32_t> mark;     ///< pick stamp that dedupes touched
+  std::vector<std::uint32_t> deg;      ///< GWMIN: exact deg_R(v)
   std::vector<std::uint32_t> version;  ///< lazy-heap staleness stamps
   std::vector<HeapEntry> heap;         ///< lazy max-heap storage
 
@@ -65,11 +70,11 @@ struct MwisScratch {
   /// total pushes are n + E (every rescore push pairs with an edge from a
   /// removed vertex to a survivor, each edge at most once per solve), and
   /// lazy compaction (see greedy() in mwis.cpp) caps the live heap at
-  /// 2n + 16 entries plus one pick's worth of pushes — at most
-  /// (max_degree + 1) removals, each rescoring at most max_degree
-  /// survivors. The degree bound is what keeps per-lane scratch small on
-  /// big sparse graphs (E can be millions while max_degree is a few
-  /// hundred).
+  /// 2m + 16 entries for m <= n heap-entered candidates, plus one pick's
+  /// worth of pushes — at most (max_degree + 1) removals, each rescoring at
+  /// most max_degree survivors. The degree bound is what keeps per-lane
+  /// scratch small on big sparse graphs (E can be millions while max_degree
+  /// is a few hundred).
   static std::size_t heap_bound(std::size_t n, std::size_t edges,
                                 std::size_t max_degree) {
     const std::size_t by_edges = n + edges;
@@ -102,10 +107,12 @@ DynamicBitset solve_mwis(const InterferenceGraph& graph,
                          MwisAlgorithm algorithm, MwisStats* stats = nullptr);
 
 /// Test/bench-only reference for kGwmin and kGwmin2: the pre-incremental
-/// greedy that rescans every candidate's score per pick. solve_mwis now
+/// greedy that rescans every candidate's score per pick. solve_mwis
 /// maintains scores lazily (only vertices adjacent to a removed vertex are
-/// rescored) and must return the identical set — asserted by the equivalence
-/// property test and timed against this baseline by the perf harness.
+/// rescored; candidates with no candidate neighbour are taken without a
+/// heap entry) and must return the identical set — asserted by the
+/// equivalence property tests and timed against this baseline by the perf
+/// harness.
 /// Rejects kExact.
 DynamicBitset solve_mwis_rescan(const InterferenceGraph& graph,
                                 std::span<const double> weights,

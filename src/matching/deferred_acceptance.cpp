@@ -170,6 +170,7 @@ StageIResult run_deferred_acceptance_prepared(
         // Components where selection and members differ, via the two set
         // differences; stamps dedupe. Verdict order cannot matter — each
         // component's revert touches only its own vertices.
+        DynamicBitset& selection = ws.selections[k];
         ws.comp_list.clear();
         const std::uint64_t stamp = ++ws.comp_stamp_counter;
         const auto collect = [&](const DynamicBitset& a,
@@ -181,30 +182,52 @@ StageIResult run_deferred_acceptance_prepared(
             if (ws.comp_stamp[c] != stamp) {
               ws.comp_stamp[c] = stamp;
               ws.comp_list.push_back(c);
+              ws.comp_sel_weight[c] = 0.0;
+              ws.comp_mem_weight[c] = 0.0;
             }
           });
         };
-        collect(ws.selections[k], members);
-        collect(members, ws.selections[k]);
+        collect(selection, members);
+        collect(members, selection);
+        // Ascending-id scalar sums over the set bits that fall in a
+        // differing component: set_weight's addition order restricted to
+        // the component, so the verdict reproduces bit-for-bit in any
+        // sub-market containing the component.
+        const auto sum_into = [&](const DynamicBitset& set,
+                                  std::vector<double>& sums) {
+          set.for_each_set([&](std::size_t v) {
+            const std::uint32_t c =
+                index.component_of(static_cast<BuyerId>(v));
+            if (ws.comp_stamp[c] == stamp) sums[c] += prices[v];
+          });
+        };
+        if (!ws.comp_list.empty()) {
+          sum_into(selection, ws.comp_sel_weight);
+          sum_into(members, ws.comp_mem_weight);
+        }
+        // Unstamp the components whose selection is strictly better; the
+        // still-stamped rest revert to the waiting list, which changes only
+        // the vertices where the two sets differ.
+        bool revert = false;
         for (const std::uint32_t c : ws.comp_list) {
-          // Ascending-id scalar sums: set_weight's addition order restricted
-          // to the component, so the verdict reproduces bit-for-bit in any
-          // sub-market containing the component.
-          double sel_sum = 0.0;
-          double mem_sum = 0.0;
-          for (const BuyerId v : index.vertices(c)) {
-            const auto vu = static_cast<std::size_t>(v);
-            if (ws.selections[k].test(vu)) sel_sum += prices[vu];
-            if (members.test(vu)) mem_sum += prices[vu];
-          }
-          if (sel_sum > mem_sum) continue;
-          for (const BuyerId v : index.vertices(c)) {
-            const auto vu = static_cast<std::size_t>(v);
-            if (members.test(vu))
-              ws.selections[k].set(vu);
-            else
-              ws.selections[k].reset(vu);
-          }
+          if (ws.comp_sel_weight[c] > ws.comp_mem_weight[c])
+            ws.comp_stamp[c] = 0;
+          else
+            revert = true;
+        }
+        if (revert) {
+          const auto reverting = [&](std::size_t v) {
+            return ws.comp_stamp[index.component_of(
+                       static_cast<BuyerId>(v))] == stamp;
+          };
+          ws.apply_set.assign_difference(selection, members);
+          ws.apply_set.for_each_set([&](std::size_t v) {
+            if (reverting(v)) selection.reset(v);
+          });
+          ws.apply_set.assign_difference(members, selection);
+          ws.apply_set.for_each_set([&](std::size_t v) {
+            if (reverting(v)) selection.set(v);
+          });
         }
       }
       const DynamicBitset& chosen = ws.selections[k];

@@ -115,6 +115,10 @@ void MatchWorkspace::prepare(const market::SpectrumMarket& market,
   if (comp_best.size() < max_comps) comp_best.resize(max_comps, kUnmatched);
   if (comp_best_price.size() < max_comps)
     comp_best_price.resize(max_comps, 0.0);
+  if (comp_sel_weight.size() < max_comps)
+    comp_sel_weight.resize(max_comps, 0.0);
+  if (comp_mem_weight.size() < max_comps)
+    comp_mem_weight.resize(max_comps, 0.0);
   comp_list.clear();
   comp_list.reserve(max_comps);
 

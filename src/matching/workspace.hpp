@@ -119,6 +119,8 @@ struct MatchWorkspace {
   std::vector<std::uint32_t> comp_list;   ///< components touched this round
   std::vector<BuyerId> comp_best;         ///< per-component best invitee
   std::vector<double> comp_best_price;    ///< and her offered price
+  std::vector<double> comp_sel_weight;    ///< Stage I guard: selection sum
+  std::vector<double> comp_mem_weight;    ///< and waiting-list sum
   // Stage II restricted mode: the active participant set (config copy plus
   /// buyers activated by departure cascades).
   DynamicBitset stage2_active;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "graph/components.hpp"
 #include "matching/paper_examples.hpp"
 #include "matching/stability.hpp"
 #include "test_util.hpp"
@@ -175,6 +179,63 @@ TEST(StageITest, EmptyGraphsGiveEveryoneTheirFavourite) {
   for (BuyerId j = 0; j < N; ++j) {
     EXPECT_EQ(result.matching.seller_of(j),
               market.buyer_preference_order(j).front());
+  }
+}
+
+// The seller guard, component by component. Buyers a=0 and r=4 head the
+// waiting list of channel 0 after round 1; p=1, q=2 and s=5 lose channel 1
+// to z=3 and propose to channel 0 in round 2. GWMIN over {a, p, q} picks p
+// (7/2 > 10/3), which strands q: {p, q} is worth 8 < a's 10. Over {r, s} it
+// picks s, worth 3 > r's 2. Where the two pairs are separate components,
+// only the first reverts and r, evicted, settles on channel 1 (where it has
+// no neighbour). Where z's edges join channel 0 into one component, the
+// verdict is the whole channel's, 11 < 12, and everything reverts.
+market::SpectrumMarket guard_market(bool single_component) {
+  const int M = 2, N = 6;
+  //                            a   p  q  z    r  s
+  std::vector<double> prices = {10, 7, 1, 0.5, 2, 3,   // channel 0
+                                1,  8, 2, 9,   1, 6};  // channel 1
+  graph::InterferenceGraph ch0(N);
+  ch0.add_edge(0, 1);
+  ch0.add_edge(0, 2);
+  ch0.add_edge(4, 5);
+  if (single_component) {  // z is never a channel-0 candidate
+    ch0.add_edge(2, 3);
+    ch0.add_edge(3, 4);
+  }
+  graph::InterferenceGraph ch1(N);
+  for (BuyerId u : {1, 2, 3, 5})
+    for (BuyerId v : {1, 2, 3, 5})
+      if (u < v) ch1.add_edge(u, v);
+  std::vector<graph::InterferenceGraph> graphs;
+  graphs.push_back(std::move(ch0));
+  graphs.push_back(std::move(ch1));
+  return market::SpectrumMarket(M, N, std::move(prices), std::move(graphs));
+}
+
+TEST(StageITest, GuardRevertsOnlyTheComponentsTheGreedyMadeWorse) {
+  for (const bool single : {true, false}) {
+    const auto market = guard_market(single);
+    EXPECT_EQ(market.graph(0).components().num_components(),
+              single ? 1u : 3u);
+    const std::vector<BuyerId> ch0 =
+        single ? std::vector<BuyerId>{0, 4} : std::vector<BuyerId>{0, 5};
+    const std::vector<BuyerId> ch1 =
+        single ? std::vector<BuyerId>{3} : std::vector<BuyerId>{3, 4};
+    // Whole-graph solves and per-component shards reach the same guard.
+    for (const int component_min : {-1, 1}) {
+      SCOPED_TRACE(testing::Message() << "single " << single
+                                      << " component_min " << component_min);
+      StageIConfig config = traced();
+      config.component_min = component_min;
+      const auto result = run_deferred_acceptance(market, config);
+      ASSERT_GE(result.trace.size(), 2u);
+      EXPECT_EQ(result.trace[0].waiting_lists[0],
+                (std::vector<BuyerId>{0, 4}));
+      EXPECT_EQ(result.trace[1].waiting_lists[0], ch0);
+      EXPECT_EQ(members(result.matching, 0), ch0);
+      EXPECT_EQ(members(result.matching, 1), ch1);
+    }
   }
 }
 

@@ -21,6 +21,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)  // defined by the standard headers above
+#include <malloc.h>
+#endif
+
 #include "auction/group_auction.hpp"
 #include "dist/runtime.hpp"
 #include "serve/net_client.hpp"
@@ -290,6 +294,16 @@ void run_listener(serve::MatchServer& server,
 }
 
 int cmd_serve(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // Pin glibc's mmap threshold at its 128 KiB default. Left dynamic, the
+  // first free of a large block raises it, market-sized arrays then come
+  // from the heap arenas, and a spilled market's pages stay resident in
+  // their free lists: the server's peak RSS came to depend on the order of
+  // unrelated allocations (EXPERIMENTS.md, "A candidate-sized coalition
+  // solve"). Pinned, every such array is its own mapping and a spill
+  // returns it to the OS.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   std::string input_path;
   int flag_start = 2;
   if (argc > 2 && std::string(argv[2]).rfind("--", 0) != 0) {
